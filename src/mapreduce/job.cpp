@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 
@@ -23,6 +25,32 @@ void JobSpec::add_reduce_stage(int reduce_tasks, double reduce_t_min,
   // deps left empty: the barrier-chain default makes the new stage wait on
   // the previous one, which is exactly the historical shuffle barrier.
   stages.push_back(std::move(reduce));
+}
+
+void JobRecord::reset(const JobSpec& new_spec, double now) {
+  spec = new_spec;
+  submit_time = now;
+  // Tasks are laid out stage-major: stage s owns
+  // [first_task(s), first_task(s) + stage(s).num_tasks).
+  tasks.resize(static_cast<std::size_t>(spec.total_tasks()));
+  for (TaskRecord& task : tasks) {
+    std::vector<int> ids = std::move(task.attempt_ids);
+    ids.clear();
+    task = TaskRecord{};
+    task.attempt_ids = std::move(ids);
+  }
+  attempts.clear();
+  tasks_completed = 0;
+  done = false;
+  const auto num_stages = static_cast<std::size_t>(spec.num_stages());
+  stage_started.assign(num_stages, 0);
+  stage_start_time.assign(num_stages, 0.0);
+  stage_tasks_completed.assign(num_stages, 0);
+  completion_time = 0.0;
+  machine_time = 0.0;
+  attempts_launched = 0;
+  attempts_killed = 0;
+  attempts_failed = 0;
 }
 
 void JobSpec::validate() const {

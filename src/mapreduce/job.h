@@ -189,6 +189,11 @@ struct JobRecord {
   int attempts_killed = 0;
   int attempts_failed = 0;  ///< crashes injected by the failure model
 
+  /// Re-initializes the record for a newly submitted job, as a fresh
+  /// record would be, but in place: every vector keeps its capacity (the
+  /// scheduler reuses released job slots through this).
+  void reset(const JobSpec& new_spec, double now);
+
   bool all_tasks_done() const {
     return tasks_completed == static_cast<int>(tasks.size());
   }

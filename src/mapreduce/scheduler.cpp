@@ -5,8 +5,17 @@
 #include <limits>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace chronos::mapreduce {
+
+namespace {
+
+// Strictly observational, like the event queue's counters.
+const obs::Counter c_slots_reused = obs::counter("sched.slots_reused");
+const obs::Counter c_stale_dropped = obs::counter("sched.stale_events_dropped");
+
+}  // namespace
 
 Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
                      SpeculationPolicy& policy, SchedulerConfig config,
@@ -21,50 +30,81 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
     crash_sampler_.emplace(config_.failures.rate);
   }
   metrics_.set_retain_outcomes(config_.retain_outcomes);
+  cluster_.set_grant_sink([this](const sim::GrantTicket& ticket, int node) {
+    dispatch(ticket, node);
+  });
 }
 
-void Scheduler::compact_job(int job) {
-  auto& record = job_mut(job);
-  CHRONOS_EXPECTS(record.done, "compact_job requires a completed job");
-  record.attempts.clear();
-  record.attempts.shrink_to_fit();
-  for (auto& task : record.tasks) {
-    task.attempt_ids.clear();
-    task.attempt_ids.shrink_to_fit();
-  }
-}
+Scheduler::~Scheduler() { cluster_.set_grant_sink(nullptr); }
 
 const JobRecord& Scheduler::job(int job) const {
-  CHRONOS_EXPECTS(job >= 0 && job < num_jobs(), "job index out of range");
-  return jobs_[static_cast<std::size_t>(job)];
+  CHRONOS_EXPECTS(job >= 0 && job < num_slots(), "job index out of range");
+  return slots_[static_cast<std::size_t>(job)].record;
 }
 
 JobRecord& Scheduler::job_mut(int job) {
-  CHRONOS_EXPECTS(job >= 0 && job < num_jobs(), "job index out of range");
-  return jobs_[static_cast<std::size_t>(job)];
+  CHRONOS_EXPECTS(job >= 0 && job < num_slots(), "job index out of range");
+  return slots_[static_cast<std::size_t>(job)].record;
+}
+
+sim::TypedEvent Scheduler::make_event(int job, EventKind kind, int arg,
+                                      int tag) const {
+  sim::TypedEvent event;
+  event.generation = slots_[static_cast<std::size_t>(job)].generation;
+  event.slot = static_cast<std::uint32_t>(job);
+  event.arg = arg;
+  event.kind = kind;
+  event.tag = static_cast<std::uint16_t>(tag);
+  return event;
+}
+
+void Scheduler::dispatch(const sim::TypedEvent& event, int node) {
+  const int job = static_cast<int>(event.slot);
+  if (slots_[event.slot].generation != event.generation) {
+    // The job completed after this event was stamped: it must reach
+    // neither the policy nor the slot's next occupant. A granted container
+    // goes straight back to the cluster.
+    c_stale_dropped.add();
+    if (event.kind == kGrant) {
+      cluster_.release_container(node);
+    }
+    return;
+  }
+  switch (event.kind) {
+    case kGrant:
+      on_container_granted(job, event.arg, node);
+      return;
+    case kAttemptFinish:
+      on_attempt_finished(job, event.arg);
+      return;
+    case kAttemptCrash:
+      on_attempt_failed(job, event.arg);
+      return;
+    case kPolicyTimer:
+      policy_.on_timer(job, event.arg, event.tag, *api_);
+      return;
+  }
+  CHRONOS_ENSURES(false, "unknown scheduler event kind");
 }
 
 int Scheduler::submit(const JobSpec& spec) {
   spec.validate();
-  const int job_index = num_jobs();
-  JobRecord record;
-  record.spec = spec;
-  record.submit_time = simulator_.now();
-  // Tasks are laid out stage-major: stage s owns
-  // [first_task(s), first_task(s) + stage(s).num_tasks).
-  record.tasks.resize(static_cast<std::size_t>(spec.total_tasks()));
-  const auto stages = static_cast<std::size_t>(spec.num_stages());
-  record.stage_started.assign(stages, 0);
-  record.stage_start_time.assign(stages, 0.0);
-  record.stage_tasks_completed.assign(stages, 0);
-  jobs_.push_back(std::move(record));
-  std::vector<ParetoSampler> samplers;
-  samplers.reserve(stages);
-  for (const StageSpec& st : spec.stages) {
-    samplers.emplace_back(st.t_min, st.beta);
+  int job_index;
+  if (!free_slots_.empty()) {
+    job_index = free_slots_.back();
+    free_slots_.pop_back();
+    c_slots_reused.add();
+  } else {
+    job_index = num_slots();
+    slots_.emplace_back();
   }
-  job_samplers_.push_back(std::move(samplers));
-
+  JobSlot& slot = slots_[static_cast<std::size_t>(job_index)];
+  slot.released = false;
+  slot.record.reset(spec, simulator_.now());
+  slot.samplers.clear();
+  for (const StageSpec& st : spec.stages) {
+    slot.samplers.emplace_back(st.t_min, st.beta);
+  }
   // Capacity hint: every task gets its stage's initial attempts (one
   // finish/crash event each) plus up to its stage's r speculative ones.
   // Crash retries can still exceed this; the queue grows geometrically.
@@ -78,6 +118,15 @@ int Scheduler::submit(const JobSpec& spec) {
   start_stage(job_index, 0);
   policy_.on_job_start(job_index, *api_);
   return job_index;
+}
+
+void Scheduler::release_job(int job) {
+  CHRONOS_EXPECTS(job >= 0 && job < num_slots(), "job index out of range");
+  JobSlot& slot = slots_[static_cast<std::size_t>(job)];
+  CHRONOS_EXPECTS(slot.record.done, "release_job requires a completed job");
+  CHRONOS_EXPECTS(!slot.released, "job slot already released");
+  slot.released = true;
+  free_slots_.push_back(job);
 }
 
 void Scheduler::start_stage(int job, int stage) {
@@ -121,6 +170,7 @@ void Scheduler::maybe_start_stages(int job) {
 
 int Scheduler::launch_attempt(int job, int task, double offset) {
   auto& record = job_mut(job);
+  CHRONOS_EXPECTS(!record.done, "cannot launch an attempt of a completed job");
   CHRONOS_EXPECTS(task >= 0 && task < record.spec.total_tasks(),
                   "task index out of range");
   CHRONOS_EXPECTS(offset >= 0.0 && offset < 1.0,
@@ -137,20 +187,12 @@ int Scheduler::launch_attempt(int job, int task, double offset) {
       attempt_id);
   ++record.attempts_launched;
 
-  cluster_.request_container([this, job, attempt_id](int node) {
-    on_container_granted(job, attempt_id, node);
-  });
+  cluster_.request_container(make_event(job, kGrant, attempt_id));
   return attempt_id;
 }
 
 void Scheduler::on_container_granted(int job, int attempt_id, int node) {
   auto& record = job_mut(job);
-  if (attempt_id >= static_cast<int>(record.attempts.size())) {
-    // The attempt was killed while queued and the job has since been
-    // compacted away; only the cluster's grant callback survived.
-    cluster_.release_container(node);
-    return;
-  }
   auto& attempt = record.attempts[static_cast<std::size_t>(attempt_id)];
   if (attempt.state != AttemptState::kWaiting) {
     // Killed while queued (or the task finished): return the container.
@@ -165,7 +207,7 @@ void Scheduler::on_container_granted(int job, int attempt_id, int node) {
   // Total execution time of a full-split attempt follows the stage's Pareto
   // law, scaled by the node's contention slowdown (§VII-A observed the
   // combined distribution is Pareto with beta < 2).
-  const auto& samplers = job_samplers_[static_cast<std::size_t>(job)];
+  const auto& samplers = slots_[static_cast<std::size_t>(job)].samplers;
   const ParetoSampler& stage = samplers[static_cast<std::size_t>(
       record.stage_of_task(attempt.task_index))];
   const double slowdown = cluster_.sample_slowdown(node, rng_);
@@ -187,15 +229,15 @@ void Scheduler::on_container_granted(int job, int attempt_id, int node) {
   if (crash_sampler_) {
     const double crash_after = (*crash_sampler_)(rng_);
     if (attempt.launch_time + crash_after < attempt.planned_finish()) {
-      attempt.finish_event = simulator_.at(
-          attempt.launch_time + crash_after,
-          [this, job, attempt_id] { on_attempt_failed(job, attempt_id); });
+      attempt.finish_event =
+          simulator_.at(attempt.launch_time + crash_after, *this,
+                        make_event(job, kAttemptCrash, attempt_id));
       return;
     }
   }
-  attempt.finish_event = simulator_.at(
-      attempt.planned_finish(),
-      [this, job, attempt_id] { on_attempt_finished(job, attempt_id); });
+  attempt.finish_event =
+      simulator_.at(attempt.planned_finish(), *this,
+                    make_event(job, kAttemptFinish, attempt_id));
 }
 
 void Scheduler::on_attempt_failed(int job, int attempt_id) {
@@ -298,6 +340,8 @@ void Scheduler::maybe_complete_job(int job) {
     return;
   }
   record.done = true;
+  // Every event still pending for this job is stale from here on.
+  ++slots_[static_cast<std::size_t>(job)].generation;
   record.completion_time = simulator_.now() - record.submit_time;
 
   sim::JobOutcome outcome;
@@ -476,8 +520,14 @@ double SchedulerApi::resume_offset_for(int job, int attempt_id) {
   return resume_offset(attempt(job, attempt_id), progress, now());
 }
 
-void SchedulerApi::schedule_after(double delay, std::function<void()> fn) {
-  scheduler_.simulator_.after(delay, std::move(fn));
+void SchedulerApi::arm_timer(int job, int stage, int tag, double delay) {
+  CHRONOS_EXPECTS(!scheduler_.job(job).done,
+                  "cannot arm a timer for a completed job");
+  CHRONOS_EXPECTS(tag >= 0 && tag <= std::numeric_limits<std::uint16_t>::max(),
+                  "timer tag out of range");
+  scheduler_.simulator_.after(
+      delay, scheduler_,
+      scheduler_.make_event(job, Scheduler::kPolicyTimer, stage, tag));
 }
 
 bool SchedulerApi::cluster_has_idle_container() const {

@@ -48,18 +48,18 @@ int Cluster::pick_node() const {
   return best;
 }
 
-void Cluster::request_container(Grant grant) {
-  CHRONOS_EXPECTS(static_cast<bool>(grant), "grant callback must be callable");
+void Cluster::request_container(const GrantTicket& ticket) {
+  CHRONOS_EXPECTS(static_cast<bool>(sink_), "cluster has no grant sink");
   const int node = pick_node();
   if (node < 0) {
-    waiting_.push_back(std::move(grant));
+    waiting_.push_back(ticket);
     notify_occupancy();
     return;
   }
   ++nodes_[static_cast<std::size_t>(node)].busy;
   ++busy_;
   notify_occupancy();
-  grant(node);
+  sink_(ticket, node);
 }
 
 void Cluster::release_container(int node) {
@@ -70,11 +70,11 @@ void Cluster::release_container(int node) {
   --busy_;
   notify_occupancy();
   if (!waiting_.empty()) {
-    Grant grant = std::move(waiting_.front());
+    const GrantTicket ticket = waiting_.front();
     waiting_.pop_front();
     // Re-grant greedily; the freed container is on `node` but any node with
     // capacity may serve the waiter. Reuse request path for fairness.
-    request_container(std::move(grant));
+    request_container(ticket);
   }
 }
 

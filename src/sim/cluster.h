@@ -4,7 +4,8 @@
 // Stress-generated contention of §VII-A).
 //
 // Container requests that cannot be satisfied immediately queue FIFO and are
-// granted as containers free up.
+// granted as containers free up. A request is a POD ticket; every grant hands
+// the ticket back, with the granting node, to the cluster's one grant sink.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/event_queue.h"
 
 namespace chronos::sim {
 
@@ -31,10 +33,15 @@ struct ClusterConfig {
   static ClusterConfig uniform(int num_nodes, const NodeConfig& node);
 };
 
+/// One container request. Opaque to the cluster: the requester's fields
+/// (the scheduler stores its job slot, the slot's generation and the
+/// attempt id) come back verbatim in the grant.
+using GrantTicket = TypedEvent;
+
 class Cluster {
  public:
-  /// Callback invoked with the granting node's index.
-  using Grant = std::function<void(int node)>;
+  /// Receives every grant: the request's ticket and the granting node.
+  using GrantSink = std::function<void(const GrantTicket& ticket, int node)>;
 
   /// Observer invoked after every change to the busy-container count or the
   /// waiting-request queue (open-system utilization/queue-length tracking).
@@ -48,6 +55,9 @@ class Cluster {
     observer_ = std::move(observer);
   }
 
+  /// Installs the grant sink; requests need one.
+  void set_grant_sink(GrantSink sink) { sink_ = std::move(sink); }
+
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int total_containers() const { return total_containers_; }
   int busy_containers() const { return busy_; }
@@ -55,9 +65,9 @@ class Cluster {
   bool has_idle_container() const { return idle_containers() > 0; }
   std::size_t pending_requests() const { return waiting_.size(); }
 
-  /// Requests one container. If one is free the grant runs synchronously;
-  /// otherwise the request queues FIFO.
-  void request_container(Grant grant);
+  /// Requests one container. If one is free the grant is delivered
+  /// synchronously; otherwise the ticket queues FIFO.
+  void request_container(const GrantTicket& ticket);
 
   /// Releases a container on `node`; the oldest waiting request (if any) is
   /// granted synchronously. Requires a container on `node` to be busy.
@@ -87,7 +97,8 @@ class Cluster {
   }
 
   std::vector<NodeState> nodes_;
-  std::deque<Grant> waiting_;
+  std::deque<GrantTicket> waiting_;
+  GrantSink sink_;
   OccupancyObserver observer_;
   int total_containers_ = 0;
   int busy_ = 0;

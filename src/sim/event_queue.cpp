@@ -24,7 +24,7 @@ const obs::Gauge g_depth = obs::gauge("sim.queue_depth");
 
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot(std::function<void()> fn) {
+std::uint32_t EventQueue::acquire_slot() {
   std::uint32_t slot;
   if (free_head_ != 0) {
     slot = free_head_ - 1;
@@ -35,13 +35,13 @@ std::uint32_t EventQueue::acquire_slot(std::function<void()> fn) {
     slots_.emplace_back();
     c_slots_new.add();
   }
-  slots_[slot].fn = std::move(fn);
   return slot;
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
   auto& s = slots_[slot];
   s.fn = nullptr;
+  s.handler = nullptr;
   ++s.generation;  // invalidates the heap entry and any outstanding EventId
   s.next_free = free_head_;
   free_head_ = slot + 1;
@@ -50,7 +50,21 @@ void EventQueue::release_slot(std::uint32_t slot) {
 EventId EventQueue::schedule(Time at, std::function<void()> fn) {
   CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
   CHRONOS_EXPECTS(static_cast<bool>(fn), "event callback must be callable");
-  const std::uint32_t slot = acquire_slot(std::move(fn));
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].fn = std::move(fn);
+  return push(at, slot);
+}
+
+EventId EventQueue::schedule(Time at, EventHandler& handler,
+                             const TypedEvent& event) {
+  CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].handler = &handler;
+  slots_[slot].event = event;
+  return push(at, slot);
+}
+
+EventId EventQueue::push(Time at, std::uint32_t slot) {
   const std::uint64_t generation = slots_[slot].generation;
   heap_.push_back(Entry{at, next_seq_++, generation, slot});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -106,8 +120,9 @@ EventQueue::Fired EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   heap_.pop_back();
   auto& slot = slots_[top.slot];
-  CHRONOS_ENSURES(static_cast<bool>(slot.fn), "live event lost its callback");
-  Fired fired{top.time, std::move(slot.fn)};
+  CHRONOS_ENSURES(slot.handler != nullptr || static_cast<bool>(slot.fn),
+                  "live event lost its callback");
+  Fired fired{top.time, std::move(slot.fn), slot.handler, slot.event};
   release_slot(top.slot);
   CHRONOS_ENSURES(live_ > 0, "live event count underflow");
   --live_;

@@ -4,7 +4,12 @@
 // events execute deterministically in scheduling order — a requirement for
 // reproducible trace-driven runs.
 //
-// Storage is a slot arena: callbacks live in a generation-tagged vector with
+// An event is either a driver closure (std::function) or a typed event: a
+// POD payload addressed to an EventHandler, which the hot simulation paths
+// (the scheduler's attempt and timer events) use so that scheduling one
+// never allocates and the handler can recognize a stale payload by itself.
+//
+// Storage is a slot arena: events live in a generation-tagged vector with
 // an intrusive free-list, and heap entries carry their slot index plus the
 // generation observed at scheduling time. Cancel/fire bump the slot's
 // generation, so stale heap entries (and stale EventIds) are recognized by a
@@ -33,10 +38,33 @@ struct EventId {
   bool valid() const { return value != 0; }
 };
 
+/// Payload of a typed event. Every field is the handler's to interpret;
+/// the queue only stores and returns it.
+struct TypedEvent {
+  std::uint64_t generation = 0;  ///< staleness tag of the addressed object
+  std::uint32_t slot = 0;        ///< addressed object (e.g. a job slot)
+  std::int32_t arg = 0;          ///< e.g. an attempt id or a stage index
+  std::uint16_t kind = 0;        ///< discriminator for the handler's switch
+  std::uint16_t tag = 0;         ///< sub-discriminator (e.g. a timer tag)
+};
+
+/// Receiver of typed events.
+class EventHandler {
+ public:
+  virtual void on_event(const TypedEvent& event) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
+
 class EventQueue {
  public:
   /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
   EventId schedule(Time at, std::function<void()> fn);
+
+  /// Schedules `event` for delivery to `handler` at absolute time `at`.
+  /// Requires at >= 0; the handler must outlive the event.
+  EventId schedule(Time at, EventHandler& handler, const TypedEvent& event);
 
   /// Cancels a pending event; returns false when the event already fired,
   /// was cancelled, or the id is invalid. Idempotent.
@@ -51,7 +79,18 @@ class EventQueue {
   /// Removes and returns the earliest runnable event. Requires !empty().
   struct Fired {
     Time time;
-    std::function<void()> fn;
+    std::function<void()> fn;        ///< empty for a typed event
+    EventHandler* handler = nullptr;  ///< set for a typed event
+    TypedEvent event;
+
+    /// Runs the closure or delivers the typed event.
+    void dispatch() {
+      if (handler != nullptr) {
+        handler->on_event(event);
+      } else {
+        fn();
+      }
+    }
   };
   Fired pop();
 
@@ -80,6 +119,8 @@ class EventQueue {
 
   struct Slot {
     std::function<void()> fn;
+    EventHandler* handler = nullptr;
+    TypedEvent event;
     std::uint64_t generation = 0;  ///< bumped whenever the slot is released
     std::uint32_t next_free = 0;   ///< free-list link (index + 1; 0 = end)
   };
@@ -89,7 +130,8 @@ class EventQueue {
   /// the check is what makes lazy deletion safe).
   void drop_stale() const;
 
-  std::uint32_t acquire_slot(std::function<void()> fn);
+  std::uint32_t acquire_slot();
+  EventId push(Time at, std::uint32_t slot);
   void release_slot(std::uint32_t slot);
 
   mutable std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap

@@ -79,8 +79,9 @@ class WindowedArea {
 /// stage-0 hooks of a submission therefore see `staged_` still pointing at
 /// its backend. Later stages start asynchronously (when their barrier
 /// clears, arbitrarily interleaved with other arrivals), so the backend is
-/// pinned per job at stage-0 start — by scheduler job index for the hooks,
-/// and by spec.job_id for initial_attempts, which receives only the spec.
+/// pinned per job at stage-0 start — by job slot for the hooks (a reused
+/// slot is re-pinned by its next occupant), and by spec.job_id for
+/// initial_attempts, which receives only the spec.
 class MuxPolicy final : public mapreduce::SpeculationPolicy {
  public:
   explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
@@ -132,6 +133,11 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
     }
   }
 
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override {
+    per_job_[static_cast<std::size_t>(job)]->on_timer(job, stage, tag, api);
+  }
+
  private:
   mapreduce::SpeculationPolicy& backend(strategies::PolicyKind kind) {
     auto& slot = backends_[static_cast<std::size_t>(kind)];
@@ -144,6 +150,7 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
   strategies::PolicyOptions options_;
   std::array<std::unique_ptr<mapreduce::SpeculationPolicy>, 6> backends_;
   mapreduce::SpeculationPolicy* staged_ = nullptr;
+  /// Backend per job slot; grows with the scheduler's slot high-water.
   std::vector<mapreduce::SpeculationPolicy*> per_job_;
   /// job_id -> backend, erased at completion so memory tracks in-flight
   /// work. Keyed by job_id (not scheduler index) because initial_attempts
@@ -251,7 +258,7 @@ class OpenEngine {
         c_degraded.add();
         [[fallthrough]];
       case Decision::kAdmit:
-        admit(spec, kind, t, measured);
+        admit(spec, kind, measured);
         break;
     }
 
@@ -262,7 +269,7 @@ class OpenEngine {
   }
 
   void admit(const mapreduce::JobSpec& spec, strategies::PolicyKind kind,
-             double t, bool measured) {
+             bool measured) {
     ++result_.admitted;
     c_admitted.add();
     if (measured) {
@@ -272,15 +279,14 @@ class OpenEngine {
     kPlanCounters[static_cast<std::size_t>(kind)].add();
 
     mux_.stage(kind);
-    const int job = scheduler_.submit(spec);
-    // Struct-of-arrays per-job state, indexed by the scheduler's job index
-    // (submit returns sequential indices, so these stay parallel).
-    job_strategy_.push_back(static_cast<std::uint8_t>(kind));
-    job_measured_.push_back(measured ? 1 : 0);
-    job_arrival_.push_back(t);
-    CHRONOS_ENSURES(job_arrival_.size() == static_cast<std::size_t>(job) + 1,
-                    "per-job arrays out of sync with scheduler indices");
+    const auto slot = static_cast<std::size_t>(scheduler_.submit(spec));
+    // Per-job engine state is indexed by job slot and reused with it.
+    if (slot >= slot_measured_.size()) {
+      slot_measured_.resize(slot + 1);
+    }
+    slot_measured_[slot] = measured ? 1 : 0;
     ++in_flight_;
+    peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
     g_in_flight.update(static_cast<std::uint64_t>(in_flight_));
   }
@@ -292,7 +298,7 @@ class OpenEngine {
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
 
     const auto& record = scheduler_.job(job);
-    if (job_measured_[static_cast<std::size_t>(job)] != 0) {
+    if (slot_measured_[static_cast<std::size_t>(job)] != 0) {
       JobOutcome outcome;
       outcome.job_id = record.spec.job_id;
       outcome.met_deadline = record.completion_time <= record.spec.deadline;
@@ -310,7 +316,7 @@ class OpenEngine {
         c_misses.add();
       }
     }
-    scheduler_.compact_job(job);
+    scheduler_.release_job(job);
   }
 
   Decision admit_decision(const mapreduce::JobSpec& spec) const {
@@ -369,6 +375,8 @@ class OpenEngine {
     result_.plan_cache_hits = planner_stats.hits;
     result_.plan_cache_misses = planner_stats.misses;
     result_.events_executed = simulator_.events_executed();
+    result_.peak_in_flight = static_cast<std::uint64_t>(peak_in_flight_);
+    result_.job_slots = static_cast<std::uint64_t>(scheduler_.num_slots());
     // Without drain the clock hard-stops at the horizon even when the last
     // executed event lies before it; with drain the queue runs dry and the
     // last completion may lie past the horizon.
@@ -408,10 +416,9 @@ class OpenEngine {
   RunMetrics measured_;
   stats::RunningStats sojourn_;
   stats::RunningStats baseline_pocd_;
-  std::vector<std::uint8_t> job_strategy_;
-  std::vector<std::uint8_t> job_measured_;
-  std::vector<double> job_arrival_;
+  std::vector<std::uint8_t> slot_measured_;  ///< arrived in-window, by slot
   std::int64_t in_flight_ = 0;
+  std::int64_t peak_in_flight_ = 0;
   int next_job_id_ = 0;
 };
 

@@ -14,12 +14,24 @@ EventId Simulator::after(double delay, std::function<void()> fn) {
   return queue_.schedule(now_ + delay, std::move(fn));
 }
 
+EventId Simulator::at(Time time, EventHandler& handler,
+                      const TypedEvent& event) {
+  CHRONOS_EXPECTS(time >= now_, "cannot schedule an event in the past");
+  return queue_.schedule(time, handler, event);
+}
+
+EventId Simulator::after(double delay, EventHandler& handler,
+                         const TypedEvent& event) {
+  CHRONOS_EXPECTS(delay >= 0.0, "delay must be non-negative");
+  return queue_.schedule(now_ + delay, handler, event);
+}
+
 void Simulator::step() {
   auto fired = queue_.pop();
   CHRONOS_ENSURES(fired.time >= now_, "time must be monotone");
   now_ = fired.time;
   ++executed_;
-  fired.fn();
+  fired.dispatch();
 }
 
 void Simulator::run() {

@@ -20,6 +20,11 @@ class Simulator {
   /// Schedules `fn` after `delay` seconds (>= 0).
   EventId after(double delay, std::function<void()> fn);
 
+  /// Typed-event forms: deliver `event` to `handler` at `at` / after
+  /// `delay` (see EventQueue::schedule).
+  EventId at(Time at, EventHandler& handler, const TypedEvent& event);
+  EventId after(double delay, EventHandler& handler, const TypedEvent& event);
+
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -44,34 +44,33 @@ bool is_straggler(SchedulerApi& api, int job, int attempt_id) {
 void Clone::on_stage_start(int job, int stage, SchedulerApi& api) {
   // All r+1 copies were launched by the scheduler (initial_attempts); at
   // tau_kill keep the copy with the best progress score (§III, Fig. 1a).
-  // The kill timer runs relative to the stage's start.
-  api.schedule_after(api.spec(job).stage(stage).tau_kill,
-                     [job, stage, &api] {
-                       if (api.job(job).done) {
-                         return;
-                       }
-                       for (const int task :
-                            api.incomplete_stage_tasks(job, stage)) {
-                         api.keep_best_progress(job, task);
-                       }
-                     });
+  // The kill timer (Clone's only timer) runs relative to the stage's start.
+  api.arm_timer(job, stage, 0, api.spec(job).stage(stage).tau_kill);
+}
+
+void Clone::on_timer(int job, int stage, int /*tag*/, SchedulerApi& api) {
+  for (const int task : api.incomplete_stage_tasks(job, stage)) {
+    api.keep_best_progress(job, task);
+  }
 }
 
 void SpeculativeRestart::on_stage_start(int job, int stage,
                                         SchedulerApi& api) {
   const auto& st = api.spec(job).stage(stage);
-  api.schedule_after(st.tau_est, [this, job, stage, &api] {
+  api.arm_timer(job, stage, kDetectTimer, st.tau_est);
+  api.arm_timer(job, stage, kReapTimer, st.tau_kill);
+}
+
+void SpeculativeRestart::on_timer(int job, int stage, int tag,
+                                  SchedulerApi& api) {
+  if (tag == kDetectTimer) {
     detect(job, stage, api);
-  });
-  api.schedule_after(st.tau_kill, [this, job, stage, &api] {
+  } else {
     reap(job, stage, api);
-  });
+  }
 }
 
 void SpeculativeRestart::detect(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   const long long extras = api.spec(job).stage(stage).r;
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
     const int original = original_active_attempt(api, job, task);
@@ -87,9 +86,6 @@ void SpeculativeRestart::detect(int job, int stage, SchedulerApi& api) {
 }
 
 void SpeculativeRestart::reap(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
     api.keep_best_estimate(job, task);
   }
@@ -98,18 +94,20 @@ void SpeculativeRestart::reap(int job, int stage, SchedulerApi& api) {
 void SpeculativeResume::on_stage_start(int job, int stage,
                                        SchedulerApi& api) {
   const auto& st = api.spec(job).stage(stage);
-  api.schedule_after(st.tau_est, [this, job, stage, &api] {
+  api.arm_timer(job, stage, kDetectTimer, st.tau_est);
+  api.arm_timer(job, stage, kReapTimer, st.tau_kill);
+}
+
+void SpeculativeResume::on_timer(int job, int stage, int tag,
+                                 SchedulerApi& api) {
+  if (tag == kDetectTimer) {
     detect(job, stage, api);
-  });
-  api.schedule_after(st.tau_kill, [this, job, stage, &api] {
+  } else {
     reap(job, stage, api);
-  });
+  }
 }
 
 void SpeculativeResume::detect(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   const long long extras = api.spec(job).stage(stage).r;
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
     const int original = original_active_attempt(api, job, task);
@@ -134,9 +132,6 @@ void SpeculativeResume::detect(int job, int stage, SchedulerApi& api) {
 }
 
 void SpeculativeResume::reap(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
     api.keep_best_estimate(job, task);
   }

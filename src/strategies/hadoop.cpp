@@ -12,23 +12,24 @@ using mapreduce::SchedulerApi;
 
 void HadoopSpeculation::on_task_completed(int job, int /*task*/,
                                           SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   // Hadoop only speculates after at least one task of the job has finished;
   // the first completion arms the periodic checker.
   if (!monitoring_.insert(job).second) {
     return;
   }
-  api.schedule_after(options_.check_period,
-                     [this, job, &api] { check(job, api); });
+  api.arm_timer(job, 0, 0, options_.check_period);
+}
+
+void HadoopSpeculation::on_job_completed(int job, SchedulerApi& /*api*/) {
+  monitoring_.erase(job);
+}
+
+void HadoopSpeculation::on_timer(int job, int /*stage*/, int /*tag*/,
+                                 SchedulerApi& api) {
+  check(job, api);
 }
 
 void HadoopSpeculation::check(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
-    monitoring_.erase(job);
-    return;
-  }
   const double submit = api.job(job).submit_time;
 
   // Hadoop speculates each stage separately: a stage becomes eligible once
@@ -83,21 +84,23 @@ void HadoopSpeculation::check(int job, SchedulerApi& api) {
   if (worst_task >= 0) {
     api.launch_extra_attempt(job, worst_task, 0.0);
   }
-  api.schedule_after(options_.check_period,
-                     [this, job, &api] { check(job, api); });
+  api.arm_timer(job, 0, 0, options_.check_period);
 }
 
 void Mantri::on_job_start(int job, SchedulerApi& api) {
-  api.schedule_after(options_.check_period,
-                     [this, job, &api] { check(job, api); });
-  api.schedule_after(options_.mantri_prune_period,
-                     [this, job, &api] { prune(job, api); });
+  api.arm_timer(job, 0, kCheck, options_.check_period);
+  api.arm_timer(job, 0, kPrune, options_.mantri_prune_period);
+}
+
+void Mantri::on_timer(int job, int /*stage*/, int tag, SchedulerApi& api) {
+  if (tag == kCheck) {
+    check(job, api);
+  } else {
+    prune(job, api);
+  }
 }
 
 void Mantri::prune(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   // "Leaves one attempt with the best progress running": keep the attempt
   // with the highest reported progress score; unreported (still-starting)
   // attempts are spared so fresh copies get a chance. Runs on a slower
@@ -138,14 +141,10 @@ void Mantri::prune(int job, SchedulerApi& api) {
       }
     }
   }
-  api.schedule_after(options_.mantri_prune_period,
-                     [this, job, &api] { prune(job, api); });
+  api.arm_timer(job, 0, kPrune, options_.mantri_prune_period);
 }
 
 void Mantri::check(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
-    return;
-  }
   const double submit = api.job(job).submit_time;
   const double now = api.now();
   const double average = api.mean_completed_task_time(job);
@@ -186,8 +185,7 @@ void Mantri::check(int job, SchedulerApi& api) {
       }
     }
   }
-  api.schedule_after(options_.check_period,
-                     [this, job, &api] { check(job, api); });
+  api.arm_timer(job, 0, kCheck, options_.check_period);
 }
 
 }  // namespace chronos::strategies

@@ -84,12 +84,17 @@ class HadoopSpeculation final : public mapreduce::SpeculationPolicy {
   std::string name() const override { return "Hadoop-S"; }
   void on_task_completed(int job, int task,
                          mapreduce::SchedulerApi& api) override;
+  void on_job_completed(int job, mapreduce::SchedulerApi& api) override;
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override;
 
  private:
   void check(int job, mapreduce::SchedulerApi& api);
 
   PolicyOptions options_;
-  std::unordered_set<int> monitoring_;  ///< jobs with an active checker
+  /// Live jobs with an armed checker, keyed by job slot: erased at
+  /// completion so a reused slot arms its own checker.
+  std::unordered_set<int> monitoring_;
 };
 
 class Mantri final : public mapreduce::SpeculationPolicy {
@@ -97,8 +102,12 @@ class Mantri final : public mapreduce::SpeculationPolicy {
   explicit Mantri(PolicyOptions options) : options_(options) {}
   std::string name() const override { return "Mantri"; }
   void on_job_start(int job, mapreduce::SchedulerApi& api) override;
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override;
 
  private:
+  enum Tag { kCheck, kPrune };
+
   void check(int job, mapreduce::SchedulerApi& api);
   void prune(int job, mapreduce::SchedulerApi& api);
 
@@ -119,13 +128,20 @@ class Clone final : public mapreduce::SpeculationPolicy {
   }
   void on_stage_start(int job, int stage,
                       mapreduce::SchedulerApi& api) override;
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override;
 };
+
+/// Tags of the tau_est / tau_kill timers of S-Restart and S-Resume.
+enum ChronosTimer { kDetectTimer, kReapTimer };
 
 class SpeculativeRestart final : public mapreduce::SpeculationPolicy {
  public:
   std::string name() const override { return "S-Restart"; }
   void on_stage_start(int job, int stage,
                       mapreduce::SchedulerApi& api) override;
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override;
 
  private:
   void detect(int job, int stage, mapreduce::SchedulerApi& api);
@@ -137,6 +153,8 @@ class SpeculativeResume final : public mapreduce::SpeculationPolicy {
   std::string name() const override { return "S-Resume"; }
   void on_stage_start(int job, int stage,
                       mapreduce::SchedulerApi& api) override;
+  void on_timer(int job, int stage, int tag,
+                mapreduce::SchedulerApi& api) override;
 
  private:
   void detect(int job, int stage, mapreduce::SchedulerApi& api);

@@ -15,10 +15,19 @@ ClusterConfig two_nodes() {
   return ClusterConfig::uniform(2, node);
 }
 
+/// Ticket carrying `id` in the field the tests read back from the sink.
+GrantTicket ticket(int id = 0) {
+  GrantTicket t;
+  t.arg = id;
+  return t;
+}
+
 TEST(Cluster, GrantsImmediatelyWhenIdle) {
   Cluster cluster(two_nodes());
   int granted_node = -1;
-  cluster.request_container([&](int node) { granted_node = node; });
+  cluster.set_grant_sink(
+      [&](const GrantTicket&, int node) { granted_node = node; });
+  cluster.request_container(ticket());
   EXPECT_GE(granted_node, 0);
   EXPECT_EQ(cluster.busy_containers(), 1);
   EXPECT_EQ(cluster.idle_containers(), 3);
@@ -27,8 +36,10 @@ TEST(Cluster, GrantsImmediatelyWhenIdle) {
 TEST(Cluster, BalancesAcrossNodes) {
   Cluster cluster(two_nodes());
   std::vector<int> nodes;
+  cluster.set_grant_sink(
+      [&](const GrantTicket&, int node) { nodes.push_back(node); });
   for (int i = 0; i < 4; ++i) {
-    cluster.request_container([&](int node) { nodes.push_back(node); });
+    cluster.request_container(ticket());
   }
   // Most-free-first placement alternates between the two nodes.
   EXPECT_EQ(nodes.size(), 4u);
@@ -39,12 +50,18 @@ TEST(Cluster, BalancesAcrossNodes) {
 TEST(Cluster, QueuesWhenFullAndGrantsFifoOnRelease) {
   Cluster cluster(two_nodes());
   std::vector<int> grant_order;
+  // Tickets 1 and 2 are the ones that must queue; 0 fills the cluster.
+  cluster.set_grant_sink([&](const GrantTicket& t, int) {
+    if (t.arg != 0) {
+      grant_order.push_back(t.arg);
+    }
+  });
   for (int i = 0; i < 4; ++i) {
-    cluster.request_container([](int) {});
+    cluster.request_container(ticket(0));
   }
   EXPECT_FALSE(cluster.has_idle_container());
-  cluster.request_container([&](int) { grant_order.push_back(1); });
-  cluster.request_container([&](int) { grant_order.push_back(2); });
+  cluster.request_container(ticket(1));
+  cluster.request_container(ticket(2));
   EXPECT_EQ(cluster.pending_requests(), 2u);
   cluster.release_container(0);
   EXPECT_EQ(grant_order, (std::vector<int>{1}));
@@ -63,8 +80,10 @@ TEST(Cluster, CountsStayConsistent) {
   Cluster cluster(two_nodes());
   EXPECT_EQ(cluster.total_containers(), 4);
   std::vector<int> nodes;
+  cluster.set_grant_sink(
+      [&](const GrantTicket&, int n) { nodes.push_back(n); });
   for (int i = 0; i < 3; ++i) {
-    cluster.request_container([&](int n) { nodes.push_back(n); });
+    cluster.request_container(ticket());
   }
   EXPECT_EQ(cluster.busy_containers(), 3);
   cluster.release_container(nodes[0]);

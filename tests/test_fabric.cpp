@@ -16,6 +16,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -699,11 +700,13 @@ FabricRun run_fabric(const exp::SweepSpec& spec,
                      const std::vector<FaultPlan>& faults,
                      const std::string& tag,
                      std::uint64_t lease_timeout_ms = 2000,
-                     std::uint64_t stagger_ms = 0) {
+                     std::uint64_t stagger_ms = 0,
+                     std::uint64_t first_result_hold_ms = 0) {
   const exp::SweepHooks hooks = tiny_hooks();
   const std::string fingerprint = exp::spec_fingerprint(spec);
-  const std::string address =
-      "unix:" + testing::TempDir() + "fabric_" + tag + ".sock";
+  const std::string socket_path =
+      testing::TempDir() + "fabric_" + tag + ".sock";
+  const std::string address = "unix:" + socket_path;
   ControllerConfig config;
   config.fingerprint = fingerprint;
   config.num_cells = spec.num_cells();
@@ -719,13 +722,45 @@ FabricRun run_fabric(const exp::SweepSpec& spec,
   FabricRun run;
   run.outcomes.assign(faults.size(), WorkerOutcome::kLost);
   std::exception_ptr controller_error;
+  std::atomic<bool> controller_done{false};
+  // A socket file left by an earlier run must not pass for a listening
+  // controller.
+  std::filesystem::remove(socket_path);
+  // Holding the first result stalls the controller's loop the way a slow
+  // journal append would: every other worker gets that long to join before
+  // a fast worker can finish the grid alone.
+  std::function<void(const exp::JournalEntry&)> on_cell;
+  if (first_result_hold_ms > 0) {
+    on_cell = [&, held = false](const exp::JournalEntry&) mutable {
+      if (!held) {
+        held = true;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(first_result_hold_ms));
+      }
+    };
+  }
   std::thread controller_thread([&] {
     try {
-      run.controller = run_controller(address, config, nullptr, nullptr);
+      run.controller = run_controller(address, config, on_cell, nullptr);
     } catch (...) {
       controller_error = std::current_exception();
     }
+    controller_done = true;
   });
+  // Start the workers only once the controller is listening. Started
+  // earlier, a worker whose first connect lost the race with the bind
+  // retried 50 ms later, by which time the other worker could have run the
+  // whole grid and the controller exited: the worker ended kLost. The
+  // socket file appears at bind and listen follows at once; the workers'
+  // connect retry starts at 1 ms to cover that gap, and its doubling
+  // backoff stays bounded (~2 s) so a worker that cannot connect fails the
+  // test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!std::filesystem::exists(socket_path) && !controller_done &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   std::vector<std::thread> workers;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     workers.emplace_back([&, i] {
@@ -738,6 +773,8 @@ FabricRun run_fabric(const exp::SweepSpec& spec,
       options.fingerprint = fingerprint;
       options.name = "w" + std::to_string(i);
       options.want = 2;
+      options.connect_attempts = 12;
+      options.connect_backoff_ms = 1;
       options.fault = faults[i];
       run.outcomes[i] = run_worker(spec, hooks, options);
     });
@@ -762,7 +799,10 @@ std::string single_process_csv(const exp::SweepSpec& spec) {
 
 TEST(FabricIntegration, TwoCleanWorkersMatchSingleProcess) {
   const exp::SweepSpec spec = tiny_spec();
-  const FabricRun run = run_fabric(spec, {FaultPlan{}, FaultPlan{}}, "clean");
+  const FabricRun run =
+      run_fabric(spec, {FaultPlan{}, FaultPlan{}}, "clean",
+                 /*lease_timeout_ms=*/2000, /*stagger_ms=*/0,
+                 /*first_result_hold_ms=*/300);
   EXPECT_EQ(fabric_csv(spec, run), single_process_csv(spec));
   EXPECT_EQ(run.outcomes[0], WorkerOutcome::kDone);
   EXPECT_EQ(run.outcomes[1], WorkerOutcome::kDone);

@@ -23,6 +23,7 @@
 #include "core/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/open_system.h"
 #include "test_util.h"
 
 namespace chronos {
@@ -503,6 +504,33 @@ TEST(ObsOptimizer, OptimizeAllReportsExactEvaluationTotalsOverAGrid) {
   EXPECT_EQ(calls->value, expected_calls);
   EXPECT_EQ(evaluations->value, expected_evaluations);
   EXPECT_EQ(lookups->value, expected_lookups);
+}
+
+TEST(ObsCounters, SchedulerSlotCountersMatchTheOpenRun) {
+  // Every admitted job takes a fresh scheduler slot or reuses a released
+  // one. Mantri re-arms its monitor timers until the job ends, so every
+  // job leaves timers behind that are popped and dropped as stale.
+  SKIP_WHEN_COMPILED_OUT();
+  sim::OpenSystemConfig config;
+  config.arrivals.rate = 0.2;
+  config.workload.mean_tasks = 6.0;
+  config.workload.max_tasks = 12;
+  config.policy = strategies::PolicyKind::kMantri;
+  config.admission.enabled = false;
+  config.planner.r_min_from_baseline = false;
+  config.cluster = sim::ClusterConfig::uniform(4, sim::NodeConfig{});
+  config.duration = 1000.0;
+  obs::reset_for_test();
+  const sim::OpenSystemResult result = sim::run_open_system(config);
+  const auto all = obs::snapshot();
+  const obs::MetricValue* reused = find_metric(all, "sched.slots_reused");
+  const obs::MetricValue* stale =
+      find_metric(all, "sched.stale_events_dropped");
+  ASSERT_NE(reused, nullptr);
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(reused->value, result.admitted - result.job_slots);
+  EXPECT_GT(reused->value, 0u);
+  EXPECT_GE(stale->value, result.completed);
 }
 
 // --- the hard invariant: instrumentation is off the numeric path -----------

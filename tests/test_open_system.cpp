@@ -258,6 +258,82 @@ TEST(OpenSystemDeterminism, DifferentSeedDifferentStream) {
   EXPECT_NE(a.end_time, b.end_time);
 }
 
+// --- bounded memory: job-slot reuse -----------------------------------------
+
+// A lightly loaded 64-container cluster with heavy-tailed (beta = 1.5) task
+// times, so every policy actually speculates and admission degrades only
+// some Chronos arrivals.
+OpenSystemConfig slot_reuse_config(strategies::PolicyKind kind) {
+  auto config = base_config(0.3, 8, 8);
+  config.workload.beta_lo = 1.5;
+  config.workload.beta_hi = 1.5;
+  config.duration = 1500.0;
+  config.warm_up = 150.0;
+  config.admission.enabled = true;
+  config.policy = kind;
+  return config;
+}
+
+TEST(OpenSystemSlots, EveryPolicyKeepsItsPinnedFingerprint) {
+  // Completed jobs hand their scheduler slot to later arrivals. The values
+  // below were computed before slots were reused (every job kept its own
+  // record), so they pin reuse as behaviour-neutral for all six policies,
+  // including Hadoop-S and Mantri, whose timers re-arm until the job ends.
+  using strategies::PolicyKind;
+  struct Pin {
+    PolicyKind kind;
+    double pocd;
+    double mean_cost;
+    std::uint64_t events;
+    std::uint64_t completed;
+    std::uint64_t degraded;
+  };
+  const Pin pins[] = {
+      {PolicyKind::kHadoopNS, 0.5552995391705069, 37.73310156126125, 4320,
+       480, 0},
+      {PolicyKind::kHadoopS, 0.95852534562211977, 30.494649464623127, 9141,
+       480, 0},
+      {PolicyKind::kMantri, 0.99769585253456217, 27.357539897669859, 10964,
+       480, 0},
+      {PolicyKind::kClone, 0.78801843317972353, 42.507840462430693, 4577,
+       480, 223},
+      {PolicyKind::kSRestart, 0.92165898617511521, 27.331618983519181, 5090,
+       480, 95},
+      {PolicyKind::kSResume, 0.97004608294930872, 26.184318292016346, 5224,
+       480, 28},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(strategies::to_string(pin.kind));
+    const auto result = sim::run_open_system(slot_reuse_config(pin.kind));
+    EXPECT_EQ(result.metrics.pocd(), pin.pocd);
+    EXPECT_EQ(result.metrics.mean_cost(), pin.mean_cost);
+    EXPECT_EQ(result.events_executed, pin.events);
+    EXPECT_EQ(result.completed, pin.completed);
+    EXPECT_EQ(result.degraded, pin.degraded);
+    // The run did reuse slots: far fewer than one per arrival.
+    EXPECT_LE(result.job_slots, result.peak_in_flight);
+    EXPECT_LT(10 * result.job_slots, result.arrivals);
+  }
+}
+
+TEST(OpenSystemSlots, SlotHighWaterTracksPeakInFlightNotHorizon) {
+  // The same cell at 1x and 10x the horizon: ten times the arrivals, but
+  // the scheduler's slot high-water stays at the run's peak number of jobs
+  // in flight, which does not grow with the horizon.
+  auto config = base_config(0.5, 32, 8);
+  config.duration = 2000.0;
+  config.warm_up = 200.0;
+  const auto short_run = sim::run_open_system(config);
+  config.duration = 20000.0;
+  const auto long_run = sim::run_open_system(config);
+  EXPECT_GE(long_run.arrivals, 9 * short_run.arrivals);
+  for (const OpenSystemResult* run : {&short_run, &long_run}) {
+    EXPECT_GT(run->peak_in_flight, 0u);
+    EXPECT_LE(run->job_slots, run->peak_in_flight + 2);
+  }
+  EXPECT_LE(long_run.job_slots, 2 * short_run.job_slots);
+}
+
 // --- auto strategy selection ------------------------------------------------
 
 TEST(OpenSystemAuto, PlansOnlyChronosStrategies) {
