@@ -4,6 +4,8 @@
 // planning overhead an Application Master would pay at submission (§VI).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "core/chronos.h"
 
 namespace {
@@ -84,12 +86,20 @@ void BM_CostSResume(benchmark::State& state) {
 }
 BENCHMARK(BM_CostSResume);
 
+/// Unique U(r) evaluations per optimize() call. The search is deterministic,
+/// so one untimed call gives the count for every iteration.
+std::int64_t evals_per_call(Strategy strategy) {
+  return optimize(strategy, bench_job(), bench_econ()).evaluations;
+}
+
 void BM_OptimizeClone(benchmark::State& state) {
   const auto params = bench_job();
   const auto econ = bench_econ();
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize(Strategy::kClone, params, econ));
   }
+  state.counters["evals_per_call"] =
+      static_cast<double>(evals_per_call(Strategy::kClone));
 }
 BENCHMARK(BM_OptimizeClone);
 
@@ -100,6 +110,8 @@ void BM_OptimizeSRestart(benchmark::State& state) {
     benchmark::DoNotOptimize(
         optimize(Strategy::kSpeculativeRestart, params, econ));
   }
+  state.counters["evals_per_call"] =
+      static_cast<double>(evals_per_call(Strategy::kSpeculativeRestart));
 }
 BENCHMARK(BM_OptimizeSRestart);
 
@@ -110,6 +122,8 @@ void BM_OptimizeSResume(benchmark::State& state) {
     benchmark::DoNotOptimize(
         optimize(Strategy::kSpeculativeResume, params, econ));
   }
+  state.counters["evals_per_call"] =
+      static_cast<double>(evals_per_call(Strategy::kSpeculativeResume));
 }
 BENCHMARK(BM_OptimizeSResume);
 
@@ -119,6 +133,11 @@ void BM_OptimizeAll(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize_all(params, econ));
   }
+  // optimize_all runs one optimize() per strategy on bit-identical contexts.
+  state.counters["evals_per_call"] = static_cast<double>(
+      evals_per_call(Strategy::kClone) +
+      evals_per_call(Strategy::kSpeculativeRestart) +
+      evals_per_call(Strategy::kSpeculativeResume));
 }
 BENCHMARK(BM_OptimizeAll);
 

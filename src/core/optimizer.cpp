@@ -1,8 +1,10 @@
 #include "core/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 #include "common/error.h"
 #include "core/thresholds.h"
@@ -23,39 +25,134 @@ const obs::Counter c_calls = obs::counter("core.optimizer.calls");
 const obs::Counter c_evaluations = obs::counter("core.optimizer.evaluations");
 const obs::Counter c_lookups = obs::counter("core.optimizer.lookups");
 
-/// Memoizing objective over a precomputed AnalyticContext. The guarded
-/// ternary search revisits probe points when the bracket shrinks; the memo
-/// guarantees each distinct r is evaluated exactly once (evaluations()),
-/// while lookups() counts every query including memo hits.
+/// Objective over a precomputed AnalyticContext. operator()(r) and pocd(r)
+/// memoize the points the phase-1 searches probe, which they revisit;
+/// scan(r) evaluates a point visited once (phase 2, brute force, the PoCD
+/// staircase) without filling the memo. evaluations() counts distinct
+/// evaluations, lookups() every query including memo hits. best() is the
+/// smallest r among the highest utilities seen, so it is the smallest
+/// maximiser whatever order the points were visited in.
 class Objective {
  public:
-  explicit Objective(const AnalyticContext& context) : context_(context) {}
+  explicit Objective(const AnalyticContext& context) : context_(context) {
+    memo_.reserve(32);
+  }
 
-  double operator()(long long r) {
+  double operator()(long long r) { return probe(r).utility; }
+  double pocd(long long r) { return probe(r).pocd; }
+
+  void scan(long long r) {
     ++lookups_;
-    if (const auto it = memo_.find(r); it != memo_.end()) {
-      return it->second;
+    if (find(r) == nullptr) {
+      evaluate(r);
     }
-    const auto point = context_.evaluate(static_cast<double>(r));
-    memo_.emplace(r, point.utility);
-    if (memo_.size() == 1 || point.utility > best_.utility) {
-      best_ = point;
-    }
-    return point.utility;
   }
 
   const UtilityPoint& best() const { return best_; }
-  std::int64_t evaluations() const {
-    return static_cast<std::int64_t>(memo_.size());
-  }
+  std::int64_t evaluations() const { return evaluations_; }
   std::int64_t lookups() const { return lookups_; }
 
  private:
+  struct Memo {
+    long long r;
+    double utility;
+    double pocd;
+  };
+
+  const Memo* find(long long r) const {
+    for (const Memo& memo : memo_) {
+      if (memo.r == r) {
+        return &memo;
+      }
+    }
+    return nullptr;
+  }
+
+  const Memo& probe(long long r) {
+    ++lookups_;
+    if (const Memo* hit = find(r)) {
+      return *hit;
+    }
+    const UtilityPoint point = evaluate(r);
+    return memo_.emplace_back(Memo{r, point.utility, point.pocd});
+  }
+
+  UtilityPoint evaluate(long long r) {
+    const auto point = context_.evaluate(static_cast<double>(r));
+    if (evaluations_++ == 0 || point.utility > best_.utility ||
+        (point.utility == best_.utility && point.r < best_.r)) {
+      best_ = point;
+    }
+    return point;
+  }
+
   const AnalyticContext& context_;
-  std::unordered_map<long long, double> memo_;
+  /// Probed points; a typical call probes about 10, so one reservation
+  /// serves the whole search.
+  std::vector<Memo> memo_;
   UtilityPoint best_{};
+  std::int64_t evaluations_ = 0;
   std::int64_t lookups_ = 0;
 };
+
+/// First r in [lo, hi] where `pred` holds, or hi + 1 if none; `pred` must
+/// be false then true along [lo, hi].
+template <typename Pred>
+long long first_true(long long lo, long long hi, Pred pred) {
+  long long end = hi + 1;
+  while (lo < end) {
+    const long long mid = lo + (end - lo) / 2;
+    if (pred(mid)) {
+      end = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// The PoCD kernels compute R = (1 - task_fail)^N with 1 - task_fail
+/// rounded to the 2^-53 grid below 1, so near 1 the computed R moves in
+/// steps of about N * 2^-53 and stalls for several r between steps. While
+/// 1 - R_min spans only a few such steps, lg(R(r) - R_min) is a staircase
+/// rather than Theorem 8's concave curve, and comparing neighbours can stop
+/// a climb on a stair. Random grids show climbs misled up to ~2^17 steps;
+/// the bound below is 2^27 steps, i.e. 1 - R_min <= N * 2^-26.
+bool pocd_is_quantized(const AnalyticContext& context) {
+  return 1.0 - context.econ().r_min <=
+         std::ldexp(static_cast<double>(context.params().num_tasks), -26);
+}
+
+/// Climbs the unimodal stretch [from, max_r]: U is concave there except for
+/// a -infinity prefix (R(r) <= R_min) through which it counts as rising, so
+/// rises(r, s) holds exactly when the smallest maximiser m lies past r.
+void climb(Objective& objective, long long from, long long max_r) {
+  const auto rises = [&objective](long long r, long long s) {
+    const double u = objective(r);
+    return u == kNegInf || objective(s) > u;
+  };
+  // Gallop: probe from, from+1, from+3, from+7, ... until U stops rising,
+  // narrowing m to [lo, hi]. The work is log(m - from), not log(max_r).
+  long long lo = from;
+  long long hi = max_r;
+  long long step = 1;
+  for (long long prev = from; prev < max_r;) {
+    const long long probe = prev + std::min(step, max_r - prev);
+    if (!rises(prev, probe)) {
+      hi = probe - 1;
+      break;
+    }
+    lo = prev + 1;
+    prev = probe;
+    if (step < max_r - prev) {
+      step *= 2;
+    }
+  }
+  // Bisect for the first r in the bracket where U stops rising.
+  objective(first_true(lo, hi - 1, [&](long long r) {
+    return !rises(r, r + 1);
+  }));
+}
 
 OptimizationResult finish(const Objective& objective,
                           const AnalyticContext& context) {
@@ -83,36 +180,34 @@ OptimizationResult optimize(const AnalyticContext& context,
 
   Objective objective(context);
   const long long start = concave_start(context.gamma());
+  const long long max_r = options.max_r;
 
   // Phase 2 of Algorithm 1 (run first here; order does not matter): the
   // non-concave prefix 0 .. ceil(Gamma)-1 is scanned exhaustively.
-  for (long long r = 0; r < std::min(start, options.max_r + 1); ++r) {
-    objective(r);
+  for (long long r = 0; r < std::min(start, max_r + 1); ++r) {
+    objective.scan(r);
   }
 
-  // Phase 1: the concave region [ceil(Gamma), max_r]. Concavity makes U
-  // unimodal over the integers, except that a prefix of the region may be
-  // -infinity (R(r) <= R_min); utility is increasing through that prefix,
-  // so a guarded ternary search remains exact.
-  long long lo = std::min(start, options.max_r);
-  long long hi = options.max_r;
-  while (hi - lo > 2) {
-    const long long m1 = lo + (hi - lo) / 3;
-    const long long m2 = hi - (hi - lo) / 3;
-    const double f1 = objective(m1);
-    const double f2 = objective(m2);
-    if (f1 == kNegInf && f2 == kNegInf) {
-      // Still inside the infeasible prefix where U is -inf; the optimum (if
-      // any) lies to the right of m2.
-      lo = m2 + 1;
-    } else if (f1 < f2) {
-      lo = m1 + 1;
-    } else {
-      hi = m2 - 1;
+  // Phase 1: the concave region [ceil(Gamma), max_r].
+  long long from = start;
+  if (from <= max_r && pocd_is_quantized(context)) {
+    // Scan the feasible stairs exhaustively, from the first r with
+    // R(r) > R_min up to the first with R(r) == 1.0. From there R is
+    // constant, U = lg(1 - R_min) - theta * C * E(T) is concave again, and
+    // the climb resumes.
+    const long long feasible = first_true(from, max_r, [&](long long r) {
+      return objective(r) != kNegInf;
+    });
+    const long long saturated = first_true(feasible, max_r, [&](long long r) {
+      return objective.pocd(r) == 1.0;
+    });
+    for (long long r = feasible; r < saturated; ++r) {
+      objective.scan(r);
     }
+    from = saturated;
   }
-  for (long long r = lo; r <= hi; ++r) {
-    objective(r);
+  if (from <= max_r) {
+    climb(objective, from, max_r);
   }
 
   return finish(objective, context);
@@ -134,7 +229,7 @@ OptimizationResult brute_force_optimize(Strategy strategy,
   const AnalyticContext context(strategy, params, econ);
   Objective objective(context);
   for (long long r = 0; r <= options.max_r; ++r) {
-    objective(r);
+    objective.scan(r);
   }
   return finish(objective, context);
 }

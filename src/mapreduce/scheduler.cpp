@@ -110,7 +110,8 @@ int Scheduler::submit(const JobSpec& spec) {
   // Crash retries can still exceed this; the queue grows geometrically.
   std::size_t event_hint = 0;
   for (int s = 0; s < spec.num_stages(); ++s) {
-    const int copies = std::max(1, policy_.initial_attempts(spec, s));
+    const int copies =
+        std::max(1, policy_.initial_attempts(job_index, spec, s));
     event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
                   static_cast<std::size_t>(copies + spec.stage(s).r);
   }
@@ -133,7 +134,8 @@ void Scheduler::start_stage(int job, int stage) {
   auto& record = job_mut(job);
   record.stage_started[static_cast<std::size_t>(stage)] = 1;
   record.stage_start_time[static_cast<std::size_t>(stage)] = simulator_.now();
-  const int copies = std::max(1, policy_.initial_attempts(record.spec, stage));
+  const int copies =
+      std::max(1, policy_.initial_attempts(job, record.spec, stage));
   const int first = record.spec.first_task(stage);
   const int last = first + record.spec.stage(stage).num_tasks;
   for (int task = first; task < last; ++task) {

@@ -49,9 +49,11 @@ class SpeculationPolicy {
 
   virtual std::string name() const = 0;
 
-  /// How many attempts to launch per task when `stage` starts
-  /// (Clone: the stage's r + 1).
-  virtual int initial_attempts(const JobSpec& spec, int stage) const {
+  /// How many attempts to launch per task when `stage` of `job` starts
+  /// (Clone: the stage's r + 1). Also queried for every stage from inside
+  /// submit, before on_stage_start(job, 0).
+  virtual int initial_attempts(int job, const JobSpec& spec, int stage) const {
+    (void)job;
     (void)spec;
     (void)stage;
     return 1;

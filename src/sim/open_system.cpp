@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,9 +78,8 @@ class WindowedArea {
 /// stage-0 hooks of a submission therefore see `staged_` still pointing at
 /// its backend. Later stages start asynchronously (when their barrier
 /// clears, arbitrarily interleaved with other arrivals), so the backend is
-/// pinned per job at stage-0 start — by job slot for the hooks (a reused
-/// slot is re-pinned by its next occupant), and by spec.job_id for
-/// initial_attempts, which receives only the spec.
+/// pinned per job slot at stage-0 start and unpinned at completion; a slot
+/// with no pin is a submission in progress, served by `staged_`.
 class MuxPolicy final : public mapreduce::SpeculationPolicy {
  public:
   explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
@@ -94,14 +92,15 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
 
   std::string name() const override { return "Open-Mux"; }
 
-  int initial_attempts(const mapreduce::JobSpec& spec,
+  int initial_attempts(int job, const mapreduce::JobSpec& spec,
                        int stage) const override {
-    const auto it = by_job_id_.find(spec.job_id);
     // Stage 0 is launched from inside submit(), before any hook could have
     // pinned the job: the staged backend is the submission's backend.
+    const auto slot = static_cast<std::size_t>(job);
     const mapreduce::SpeculationPolicy* backend =
-        it != by_job_id_.end() ? it->second : staged_;
-    return backend->initial_attempts(spec, stage);
+        slot < per_job_.size() && per_job_[slot] != nullptr ? per_job_[slot]
+                                                             : staged_;
+    return backend->initial_attempts(job, spec, stage);
   }
 
   void on_job_start(int job, mapreduce::SchedulerApi& api) override {
@@ -120,14 +119,14 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
         per_job_.resize(static_cast<std::size_t>(job) + 1, nullptr);
       }
       per_job_[static_cast<std::size_t>(job)] = staged_;
-      by_job_id_[api.spec(job).job_id] = staged_;
     }
     per_job_[static_cast<std::size_t>(job)]->on_stage_start(job, stage, api);
   }
 
   void on_job_completed(int job, mapreduce::SchedulerApi& api) override {
-    per_job_[static_cast<std::size_t>(job)]->on_job_completed(job, api);
-    by_job_id_.erase(api.spec(job).job_id);
+    auto& backend = per_job_[static_cast<std::size_t>(job)];
+    backend->on_job_completed(job, api);
+    backend = nullptr;
     if (on_complete_) {
       on_complete_(job);
     }
@@ -150,12 +149,9 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
   strategies::PolicyOptions options_;
   std::array<std::unique_ptr<mapreduce::SpeculationPolicy>, 6> backends_;
   mapreduce::SpeculationPolicy* staged_ = nullptr;
-  /// Backend per job slot; grows with the scheduler's slot high-water.
+  /// Backend per job slot, null while the slot is free or being submitted;
+  /// grows with the scheduler's slot high-water.
   std::vector<mapreduce::SpeculationPolicy*> per_job_;
-  /// job_id -> backend, erased at completion so memory tracks in-flight
-  /// work. Keyed by job_id (not scheduler index) because initial_attempts
-  /// only sees the spec.
-  std::unordered_map<int, mapreduce::SpeculationPolicy*> by_job_id_;
   std::function<void(int job)> on_complete_;
 };
 

@@ -122,7 +122,7 @@ class Mantri final : public mapreduce::SpeculationPolicy {
 class Clone final : public mapreduce::SpeculationPolicy {
  public:
   std::string name() const override { return "Clone"; }
-  int initial_attempts(const mapreduce::JobSpec& spec,
+  int initial_attempts(int /*job*/, const mapreduce::JobSpec& spec,
                        int stage) const override {
     return static_cast<int>(spec.stage(stage).r) + 1;
   }

@@ -147,7 +147,7 @@ TEST(Scheduler, JvmStartupDelaysProgress) {
 class KillAtTime final : public SpeculationPolicy {
  public:
   std::string name() const override { return "test-kill"; }
-  int initial_attempts(const JobSpec&, int) const override { return 2; }
+  int initial_attempts(int, const JobSpec&, int) const override { return 2; }
   void on_job_start(int job, SchedulerApi& api) override {
     api.arm_timer(job, 0, 0, 1.0);
   }
