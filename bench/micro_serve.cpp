@@ -111,9 +111,8 @@ void BM_PlansPerSecondWarmQuantized(benchmark::State& state) {
 BENCHMARK(BM_PlansPerSecondWarmQuantized);
 
 // Full staged planning on a 3-stage chain: critical-path deadline split
-// plus one Algorithm-1 run per stage, with SharedAnalytics reused across
-// the two same-shape reduce stages. The staged analogue of
-// BM_PlansPerSecondCold.
+// plus one Algorithm-1 run per stage, written back with trace::apply. The
+// staged analogue of BM_PlansPerSecondCold.
 void BM_StagedJobPlan(benchmark::State& state) {
   chronos::mapreduce::JobSpec proto;
   proto.stage(0).num_tasks = 40;
@@ -127,8 +126,10 @@ void BM_StagedJobPlan(benchmark::State& state) {
   const chronos::trace::PlannerConfig planner;
   for (auto _ : state) {
     auto spec = proto;
-    benchmark::DoNotOptimize(chronos::trace::plan_staged_spec(
-        spec, chronos::strategies::PolicyKind::kSResume, planner, 0.4));
+    const auto plan = chronos::trace::plan(
+        spec, planner, 0.4, chronos::strategies::PolicyKind::kSResume);
+    chronos::trace::apply(plan, planner, 0.4, spec);
+    benchmark::DoNotOptimize(spec);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -37,22 +37,11 @@ std::int64_t quantize_bucket(double value, double grid) {
 
 std::uint64_t hash_key(const PlanKey& key) {
   std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t word) {
+  for (const std::uint64_t word : key.words) {
     for (int byte = 0; byte < 8; ++byte) {
       hash ^= (word >> (8 * byte)) & 0xffu;
       hash *= 1099511628211ull;
     }
-  };
-  mix(key.mode);
-  mix(static_cast<std::uint64_t>(key.num_stages));
-  mix(static_cast<std::uint64_t>(key.deadline));
-  mix(static_cast<std::uint64_t>(key.price));
-  mix(static_cast<std::uint64_t>(key.theta));
-  for (const PlanStageKey& stage : key.stages) {
-    mix(static_cast<std::uint64_t>(stage.num_tasks));
-    mix(static_cast<std::uint64_t>(stage.t_min));
-    mix(static_cast<std::uint64_t>(stage.beta));
-    mix(stage.deps);
   }
   return hash;
 }
@@ -72,7 +61,7 @@ PlanCache::~PlanCache() {
   }
 }
 
-const CachedPlan* PlanCache::find(const PlanKey& key) const {
+const trace::Plan* PlanCache::find(const PlanKey& key) const {
   const std::uint64_t hash = hash_key(key);
   const std::size_t window = std::min(kProbeWindow, slots_.size());
   for (std::size_t probe = 0; probe < window; ++probe) {
@@ -88,7 +77,7 @@ const CachedPlan* PlanCache::find(const PlanKey& key) const {
   return nullptr;
 }
 
-bool PlanCache::insert(const PlanKey& key, const CachedPlan& plan) {
+bool PlanCache::insert(const PlanKey& key, const trace::Plan& plan) {
   const std::uint64_t hash = hash_key(key);
   const std::size_t window = std::min(kProbeWindow, slots_.size());
   Entry* fresh = nullptr;

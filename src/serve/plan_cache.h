@@ -1,9 +1,9 @@
 // Quantized-key plan cache for the planning service (ROADMAP
 // "planner-as-a-service" item).
 //
-// A plan is a pure function of the planning inputs (job shape, deadline,
-// spot price, theta, policy-or-auto) under a fixed PlannerConfig, so a
-// long-running front-end can memoize it. The cache key is those inputs
+// A plan (trace::Plan) is a pure function of the planning inputs (job
+// shape, deadline, spot price, policy-or-auto) under a fixed PlannerConfig,
+// so a long-running front-end can memoize it. The cache key is those inputs
 // either bit-exact (kExact: a hit is only ever served for bit-identical
 // inputs, so cached planning is byte-identical to uncached planning) or
 // snapped to a geometric grid (kQuantized: continuous inputs within one
@@ -22,17 +22,17 @@
 //           the caller's freshly computed plan is simply not shared —
 //           planning stays correct, only the hit rate suffers.
 //
-// Entries live until the cache is destroyed; there is no eviction and thus
-// no reclamation problem for concurrent readers.
+// Entries (each owning its heap-allocated key and per-stage r vector) live
+// until the cache is destroyed; there is no eviction and thus no
+// reclamation problem for concurrent readers.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "strategies/policies.h"
+#include "trace/planner.h"
 
 namespace chronos::serve {
 
@@ -65,65 +65,31 @@ struct PlanCacheConfig {
 /// collide.
 std::int64_t quantize_bucket(double value, double grid);
 
-/// Stage budget of the fixed-width cache key. Jobs with more stages bypass
-/// the cache entirely (planned from scratch per request) — DAGs beyond this
-/// width are rare enough that caching them is not worth a variable-length
-/// key on the lock-free read path.
-inline constexpr int kMaxKeyStages = 4;
-
-/// Per-stage slice of the cache key: the stage's shape fields (encoded like
-/// the job-level continuous fields — bit patterns or bucket indices) plus
-/// its resolved dependency set as a bitmask over earlier stages. Two specs
-/// differing in ANY stage — shape or wiring — therefore never collide.
-struct PlanStageKey {
-  std::int64_t num_tasks = 0;
-  std::int64_t t_min = 0;
-  std::int64_t beta = 0;
-  std::uint64_t deps = 0;  ///< bitmask of resolved predecessor stages
-
-  friend bool operator==(const PlanStageKey&, const PlanStageKey&) = default;
-};
-
-/// Canonical cache key: the planning mode plus every request field the plan
-/// depends on, encoded as integers (bit patterns in kExact mode, bucket
-/// indices in kQuantized mode). The full stage vector is keyed — stage
-/// slots past num_stages stay zero-initialized. PlannerConfig knobs are
-/// deliberately absent: they are fixed for the lifetime of a
-/// PlannerService.
+/// Canonical cache key: every planning input the plan depends on, as
+/// integer words — bit patterns in kExact mode, bucket indices (for the
+/// continuous fields) in kQuantized mode. Layout:
+///
+///   mode, stage count, deadline, price,
+///   then per stage: num_tasks, t_min, beta, and the stage's resolved
+///   predecessor set as a bitmask over stage indices, ceil(stages / 64)
+///   words wide.
+///
+/// The stage count fixes the layout, so two specs differing in ANY stage —
+/// shape or wiring — never share a key, at any width. PlannerConfig knobs
+/// (theta, the tau factors, optimizer options) are deliberately absent:
+/// they are fixed for the lifetime of a PlannerService.
 struct PlanKey {
-  std::uint64_t mode = 0;  ///< PolicyKind ordinal, or kAutoMode
-  std::int64_t num_stages = 0;
-  std::int64_t deadline = 0;
-  std::int64_t price = 0;
-  std::int64_t theta = 0;
-  std::array<PlanStageKey, kMaxKeyStages> stages{};
+  std::vector<std::uint64_t> words;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
-/// PlanKey::mode value for auto-strategy (optimize_all) requests; fixed
+/// PlanKey mode word for auto-strategy (optimize_all) requests; fixed
 /// policies use their PolicyKind ordinal (0..5).
 inline constexpr std::uint64_t kAutoMode = 6;
 
-/// FNV-1a over the key's canonical integer fields (all stage slots
-/// included).
+/// FNV-1a over the key's words.
 std::uint64_t hash_key(const PlanKey& key);
-
-/// The cached decision: which policy runs the job and with how many extra
-/// attempts per stage. Price and the tau timer fields are deliberately NOT
-/// cached — they are recomputed per request from the request's own price
-/// clock and the service's tau factors, so a cache hit can never serve a
-/// stale spot price or another job's timers.
-struct CachedPlan {
-  strategies::PolicyKind kind = strategies::PolicyKind::kHadoopNS;
-  std::int64_t num_stages = 1;
-  /// Final per-stage extra-attempt counts (infeasible fallback folded in);
-  /// slots past num_stages stay zero.
-  std::array<long long, kMaxKeyStages> r{};
-  bool feasible = false;  ///< every planned stage was feasible
-
-  friend bool operator==(const CachedPlan&, const CachedPlan&) = default;
-};
 
 /// Fixed-capacity open-addressed hash table with lock-free reads and
 /// CAS-published inserts (see file comment). Thread-safe for any mix of
@@ -138,12 +104,12 @@ class PlanCache {
 
   /// Lock-free lookup; nullptr when absent. The returned pointer stays
   /// valid until the cache is destroyed.
-  const CachedPlan* find(const PlanKey& key) const;
+  const trace::Plan* find(const PlanKey& key) const;
 
   /// Publishes `plan` under `key`. Returns false when the key was already
   /// present (another thread won the race) or the probe window around the
   /// key's hash is full; the cache is unchanged in either case.
-  bool insert(const PlanKey& key, const CachedPlan& plan);
+  bool insert(const PlanKey& key, const trace::Plan& plan);
 
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
   std::size_t capacity() const { return slots_.size(); }
@@ -151,7 +117,7 @@ class PlanCache {
  private:
   struct Entry {
     PlanKey key;
-    CachedPlan plan;
+    trace::Plan plan;
   };
 
   std::vector<std::atomic<Entry*>> slots_;

@@ -3,31 +3,28 @@
 // exemplar shape — the planning brain is separate from execution even
 // while transport stays in-process).
 //
-// A request is the paper's per-job planning problem — (beta, t_min, D,
-// theta, spot price, policy-or-auto) — and the reply is the plan: which
-// policy runs the job and with how many extra attempts r. The service
-// memoizes plans in a PlanCache (exact or quantized keys; see
-// plan_cache.h) and recomputes the per-request fields (spot price, tau
-// timers) on every reply, so a cache hit can never leak another arrival's
-// price clock.
+// A request is the paper's per-job planning problem — a job spec, its spot
+// price and policy-or-auto; theta and the tau factors are fixed per
+// service — and the reply is the plan: which policy runs the job and with
+// how many extra attempts r per stage. The service is only a cache around
+// trace::plan():
 //
-// plan() serves one request; plan_batch() plans a queue of pending
-// requests together, deduplicating identical keys and sharing one
-// core::SharedAnalytics across all requests with the same job shape, so a
-// burst of arrivals that differ only in spot price pays the
-// strategy-independent constants once.
+//   key -> find -> on a miss trace::plan() + insert -> trace::apply()
 //
-// Thread safety: plan() and plan_batch() may be called concurrently from
-// any number of threads (lock-free cache reads, CAS-published inserts,
-// relaxed stat counters). The PlannerConfig is fixed at construction —
-// a config change is a new service (and thus an empty cache).
+// The PlanCache (exact or quantized keys, any stage count; see
+// plan_cache.h) stores the decision only. trace::apply() derives the
+// spec's price and tau timers from the request itself on every reply, so a
+// cache hit can never leak another arrival's price clock.
+//
+// Thread safety: plan() may be called concurrently from any number of
+// threads (lock-free cache reads, CAS-published inserts, relaxed stat
+// counters). The PlannerConfig is fixed at construction — a config change
+// is a new service (and thus an empty cache).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
-#include "core/optimizer.h"
 #include "serve/plan_cache.h"
 #include "trace/planner.h"
 
@@ -41,19 +38,13 @@ struct PlannerServiceConfig {
 
 /// One planning request. `spec` supplies the job shape (the stage vector
 /// plus deadline) and receives the plan (price, and per stage tau_est /
-/// tau_kill / r). Staged jobs up to serve::kMaxKeyStages stages are cached
-/// like single-stage ones (the key covers the full stage vector); wider
-/// DAGs are planned from scratch on every request.
+/// tau_kill / r).
 struct PlanRequest {
   mapreduce::JobSpec* spec = nullptr;
 
   /// Spot price on the caller's clock — for an open-system arrival, the
   /// price at the arrival time, never trace-generation or retry time.
   double price = 1.0;
-
-  /// Override for the run's theta; negative means "use the service's
-  /// configured theta" (the common case).
-  double theta = -1.0;
 
   /// On: pick the best of Clone / S-Restart / S-Resume via optimize_all.
   /// Off: plan under `policy`.
@@ -80,55 +71,24 @@ struct PlannerServiceStats {
 
 class PlannerService {
  public:
+  /// Validates the cache config before sizing the table.
   explicit PlannerService(PlannerServiceConfig config);
 
   /// Plans one request in place: fills spec.price / tau_est / tau_kill / r
   /// and returns the decision. With the cache off (or on a miss) this is
-  /// bit-identical to trace::plan_spec / core::optimize_all; an exact-mode
-  /// hit replays a plan computed from bit-identical inputs and is
-  /// therefore byte-identical too.
+  /// trace::apply(trace::plan(...)); an exact-mode hit replays a plan
+  /// computed from bit-identical inputs and is therefore byte-identical
+  /// too.
   PlanReply plan(const PlanRequest& request);
-
-  /// Plans a queue of pending requests together. Result- and
-  /// stats-equivalent to calling plan() on each request in order, but
-  /// requests sharing a cache key are planned once and requests sharing a
-  /// job shape share one SharedAnalytics across their price/theta values.
-  std::vector<PlanReply> plan_batch(std::vector<PlanRequest>& requests);
 
   const PlannerServiceConfig& config() const { return config_; }
   PlannerServiceStats stats() const;
 
   /// The cache key a request would be filed under (exposed for tests of
-  /// the quantization-boundary behavior). Requires the spec to have at most
-  /// kMaxKeyStages stages.
+  /// the quantization-boundary behavior).
   PlanKey make_key(const PlanRequest& request) const;
 
  private:
-  double effective_theta(const PlanRequest& request) const {
-    return request.theta < 0.0 ? config_.planner.theta : request.theta;
-  }
-
-  /// Whether the request can go through the cache at all: the key is
-  /// fixed-width, so jobs wider than kMaxKeyStages always plan uncached.
-  static bool keyable(const PlanRequest& request);
-
-  /// Plans a wider-than-keyable DAG directly into the spec (no CachedPlan
-  /// round trip — its per-stage r array is fixed-width too).
-  PlanReply plan_direct(const PlanRequest& request) const;
-
-  /// Pure planning: runs the optimizer for the request without touching
-  /// its spec. `shared` optionally supplies prebuilt shape constants (must
-  /// match the request's to_job_params output bit-for-bit).
-  CachedPlan compute(const PlanRequest& request,
-                     const core::SharedAnalytics* shared) const;
-
-  /// Writes a plan into the request's spec, recomputing price and the tau
-  /// timers from the request itself (never from the cache).
-  void apply(const PlanRequest& request, const CachedPlan& plan) const;
-
-  /// Inserts into the cache, counting the insert or the drop.
-  void publish(const PlanKey& key, const CachedPlan& plan);
-
   PlannerServiceConfig config_;
   PlanCache cache_;
   std::atomic<std::uint64_t> requests_{0};

@@ -6,8 +6,8 @@
 // Simulator/Cluster/Scheduler stack with a pluggable arrival process
 // (Poisson, diurnal-modulated, or file/trace-driven), samples each job's
 // shape on arrival from the Google-trace statistical template, plans it at
-// admission time (fixed policy via trace::plan_job, or per-job strategy
-// selection via core::optimize_all), and pushes it through a
+// admission time through a serve::PlannerService (fixed policy, or per-job
+// strategy selection via core::optimize_all), and pushes it through a
 // capacity-aware admission controller:
 //
 //   reject   when the projected task backlog exceeds a multiple of the

@@ -22,7 +22,7 @@
 //
 // The Chronos policies read r, tau_est and tau_kill from each StageSpec of
 // the job; the optimal r is computed per stage by core::optimize (see
-// trace::plan_job).
+// trace::plan).
 #pragma once
 
 #include <memory>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -96,47 +95,6 @@ strategies::PolicyKind policy_of(core::Strategy strategy) {
   CHRONOS_EXPECTS(false, "unknown analytic strategy");
 }
 
-core::OptimizationResult plan_spec(mapreduce::JobSpec& spec,
-                                   strategies::PolicyKind policy,
-                                   const PlannerConfig& config, double price) {
-  if (spec.num_stages() > 1) {
-    return plan_staged_spec(spec, policy, config, price).stages.front();
-  }
-  spec.price = price;
-  auto& st = spec.stage(0);
-
-  if (!has_analytic_strategy(policy)) {
-    st.r = 0;
-    st.tau_est = config.tau_est_factor * st.t_min;
-    st.tau_kill = config.tau_kill_factor * st.t_min;
-    return core::OptimizationResult{};
-  }
-
-  const core::Strategy strategy = analytic_strategy(policy);
-  const auto params = to_job_params(spec, config, strategy);
-  const auto econ = to_economics(spec, config, spec.price);
-  auto result = core::optimize(strategy, params, econ, config.optimizer);
-  st.tau_est = params.tau_est;
-  st.tau_kill = params.tau_kill;
-  st.r = result.feasible ? result.r_opt : 1;  // fall back to one copy
-  return result;
-}
-
-core::OptimizationResult plan_job(TracedJob& job,
-                                  strategies::PolicyKind policy,
-                                  const PlannerConfig& config,
-                                  const SpotPriceModel& prices) {
-  return plan_spec(job.spec, policy, config,
-                   prices.price_at(job.submit_time));
-}
-
-void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
-                const PlannerConfig& config, const SpotPriceModel& prices) {
-  for (auto& job : jobs) {
-    plan_job(job, policy, config, prices);
-  }
-}
-
 double expected_stage_makespan(int num_tasks, double t_min, double beta) {
   CHRONOS_EXPECTS(num_tasks >= 1, "num_tasks must be >= 1");
   CHRONOS_EXPECTS(t_min > 0.0 && beta > 1.0,
@@ -176,105 +134,95 @@ std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {
   return deadlines;
 }
 
-namespace {
-
-bool same_shape(const core::JobParams& a, const core::JobParams& b) {
-  return a.num_tasks == b.num_tasks && a.deadline == b.deadline &&
-         a.t_min == b.t_min && a.beta == b.beta && a.tau_est == b.tau_est &&
-         a.tau_kill == b.tau_kill && a.phi_est == b.phi_est;
-}
-
-}  // namespace
-
-StagedPlan plan_staged_spec(mapreduce::JobSpec& spec,
-                            strategies::PolicyKind policy,
-                            const PlannerConfig& config, double price) {
-  StagedPlan plan;
-  const int stages = spec.num_stages();
-  if (stages == 1) {
-    // Single-stage jobs take the historical path (the whole job deadline,
-    // no split arithmetic) so existing map-only plans stay bit-identical.
-    plan.stages.push_back(plan_spec(spec, policy, config, price));
-    plan.stage_deadlines.push_back(spec.deadline);
-    return plan;
+std::vector<double> stage_deadlines(const mapreduce::JobSpec& spec,
+                                    const PlannerConfig& config) {
+  if (spec.num_stages() == 1) {
+    return {spec.deadline};
   }
-  spec.price = price;
-  plan.stage_deadlines = critical_path_split(spec);
-  // Feasibility floor: randomly sampled DAGs can be so deadline-tight that
-  // a stage's proportional share drops below t_min + tau_est, which no
-  // valid analytic JobParams can express. Clamp the share to that floor —
-  // the stage is effectively infeasible either way, and the optimizer then
-  // reports it as such instead of rejecting the parameters outright. The
-  // floor depends only on t_min, so same-shape stages keep equal shares.
-  for (int s = 0; s < stages; ++s) {
+  std::vector<double> deadlines = critical_path_split(spec);
+  for (int s = 0; s < spec.num_stages(); ++s) {
     const double floor = spec.stage(s).t_min *
                          (1.0 + config.tau_est_factor) * (1.0 + 1e-9);
-    plan.stage_deadlines[static_cast<std::size_t>(s)] =
-        std::max(plan.stage_deadlines[static_cast<std::size_t>(s)], floor);
+    auto& deadline = deadlines[static_cast<std::size_t>(s)];
+    deadline = std::max(deadline, floor);
   }
-  plan.stages.resize(static_cast<std::size_t>(stages));
-
-  if (!has_analytic_strategy(policy)) {
-    for (auto& st : spec.stages) {
-      st.r = 0;
-      st.tau_est = config.tau_est_factor * st.t_min;
-      st.tau_kill = config.tau_kill_factor * st.t_min;
-    }
-    return plan;
-  }
-
-  const core::Strategy strategy = analytic_strategy(policy);
-  // One optimize() per stage (§III optimizes stage PoCDs separately). The
-  // strategy-independent constants are shared across same-shape stages —
-  // identical (num_tasks, t_min, beta) implies identical spans and hence
-  // identical deadline shares, so their JobParams match bit-for-bit.
-  std::vector<core::JobParams> params(static_cast<std::size_t>(stages));
-  std::vector<std::unique_ptr<core::SharedAnalytics>> analytics(
-      static_cast<std::size_t>(stages));
-  std::vector<int> shape_of(static_cast<std::size_t>(stages));
-  for (int s = 0; s < stages; ++s) {
-    params[static_cast<std::size_t>(s)] = stage_job_params(
-        spec.stage(s), plan.stage_deadlines[static_cast<std::size_t>(s)],
-        config, strategy);
-    int owner = s;
-    for (int q = 0; q < s; ++q) {
-      if (same_shape(params[static_cast<std::size_t>(q)],
-                     params[static_cast<std::size_t>(s)])) {
-        owner = shape_of[static_cast<std::size_t>(q)];
-        break;
-      }
-    }
-    shape_of[static_cast<std::size_t>(s)] = owner;
-    if (owner == s) {
-      analytics[static_cast<std::size_t>(s)] =
-          std::make_unique<core::SharedAnalytics>(
-              params[static_cast<std::size_t>(s)]);
-    }
-  }
-  for (int s = 0; s < stages; ++s) {
-    auto& st = spec.stage(s);
-    const auto econ = stage_economics(
-        st, plan.stage_deadlines[static_cast<std::size_t>(s)], config,
-        spec.price);
-    const core::AnalyticContext context(
-        strategy,
-        *analytics[static_cast<std::size_t>(
-            shape_of[static_cast<std::size_t>(s)])],
-        econ);
-    auto& result = plan.stages[static_cast<std::size_t>(s)];
-    result = core::optimize(context, config.optimizer);
-    st.tau_est = params[static_cast<std::size_t>(s)].tau_est;
-    st.tau_kill = params[static_cast<std::size_t>(s)].tau_kill;
-    st.r = result.feasible ? result.r_opt : 1;  // fall back to one copy
-  }
-  return plan;
+  return deadlines;
 }
 
-StagedPlan plan_staged_job(TracedJob& job, strategies::PolicyKind policy,
-                           const PlannerConfig& config,
-                           const SpotPriceModel& prices) {
-  return plan_staged_spec(job.spec, policy, config,
-                          prices.price_at(job.submit_time));
+Plan plan(const mapreduce::JobSpec& spec, const PlannerConfig& config,
+          double price, std::optional<strategies::PolicyKind> policy) {
+  const auto stages = static_cast<std::size_t>(spec.num_stages());
+  Plan decision;
+  decision.r.assign(stages, 0);
+  if (policy.has_value()) {
+    decision.kind = *policy;
+    if (!has_analytic_strategy(*policy)) {
+      return decision;  // baseline: r = 0, infeasible by definition
+    }
+  }
+  decision.feasible = true;
+  const auto record = [&decision](std::size_t s,
+                                  const core::OptimizationResult& result) {
+    decision.feasible = decision.feasible && result.feasible;
+    decision.r[s] = result.feasible ? result.r_opt : 1;  // one copy fallback
+  };
+  if (!policy.has_value()) {
+    // One policy runs the whole job: pick it on the root stage with
+    // S-Resume-style params, under the root's unclamped share.
+    const double root = stages == 1 ? spec.deadline
+                                    : critical_path_split(spec).front();
+    const auto best = core::optimize_all(
+        stage_job_params(spec.stage(0), root, config,
+                         core::Strategy::kSpeculativeResume),
+        stage_economics(spec.stage(0), root, config, price),
+        config.optimizer);
+    decision.kind = policy_of(best.strategy);
+    if (stages == 1) {
+      record(0, best.result);
+      return decision;
+    }
+  }
+  const core::Strategy strategy = analytic_strategy(decision.kind);
+  const std::vector<double> deadlines = stage_deadlines(spec, config);
+  for (std::size_t s = 0; s < stages; ++s) {
+    const auto& stage = spec.stages[s];
+    record(s, core::optimize(
+                  strategy,
+                  stage_job_params(stage, deadlines[s], config, strategy),
+                  stage_economics(stage, deadlines[s], config, price),
+                  config.optimizer));
+  }
+  return decision;
+}
+
+void apply(const Plan& plan, const PlannerConfig& config, double price,
+           mapreduce::JobSpec& spec) {
+  CHRONOS_EXPECTS(plan.r.size() == spec.stages.size(),
+                  "a plan carries one r per stage");
+  spec.price = price;
+  for (std::size_t s = 0; s < plan.r.size(); ++s) {
+    auto& stage = spec.stages[s];
+    stage.tau_est = plan.kind == strategies::PolicyKind::kClone
+                        ? 0.0
+                        : config.tau_est_factor * stage.t_min;
+    stage.tau_kill = config.tau_kill_factor * stage.t_min;
+    stage.r = plan.r[s];
+  }
+}
+
+Plan plan_job(TracedJob& job, strategies::PolicyKind policy,
+              const PlannerConfig& config, const SpotPriceModel& prices) {
+  const double price = prices.price_at(job.submit_time);
+  Plan decision = plan(job.spec, config, price, policy);
+  apply(decision, config, price, job.spec);
+  return decision;
+}
+
+void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
+                const PlannerConfig& config, const SpotPriceModel& prices) {
+  for (auto& job : jobs) {
+    plan_job(job, policy, config, prices);
+  }
 }
 
 }  // namespace chronos::trace

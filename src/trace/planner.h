@@ -1,9 +1,22 @@
-// Per-job planning: maps a JobSpec onto the analytic model, runs the
-// Algorithm-1 optimizer, and fills the strategy fields (r, tau_est,
-// tau_kill, price) — exactly what the Application Master does at job
-// submission in §VI.
+// Per-job planning — what the Application Master does at job submission in
+// §VI: map a JobSpec onto the analytic model, run one Algorithm-1 pass per
+// stage (§III optimizes stage PoCDs separately) and fill the strategy
+// fields.
+//
+// Planning is split into a pure decision and its write-back:
+//
+//   plan()   JobSpec + config + spot price + policy-or-auto -> Plan, the
+//            decision {kind, feasible, r per stage}. Touches nothing.
+//   apply()  Plan + config + spot price -> the spec's price and, per stage,
+//            tau_est / tau_kill / r. The only code that writes them.
+//
+// Every caller — plan_job / plan_trace here, serve::PlannerService with its
+// plan cache — is apply(plan(...)). Because apply() derives price and the
+// timers from its own inputs, a Plan can be cached and replayed for another
+// job without leaking that job's price clock.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/chronos.h"
@@ -40,7 +53,7 @@ core::Economics stage_economics(const mapreduce::StageSpec& stage,
                                 double price);
 
 /// Analytic-model view of a single-stage job (stage 0 under the full job
-/// deadline); the serve layer keys its plan cache off this view.
+/// deadline).
 core::JobParams to_job_params(const mapreduce::JobSpec& spec,
                               const PlannerConfig& config,
                               core::Strategy strategy);
@@ -58,30 +71,6 @@ core::Strategy analytic_strategy(strategies::PolicyKind kind);
 /// analytic strategy (total on core::Strategy).
 strategies::PolicyKind policy_of(core::Strategy strategy);
 
-/// Price-free planning core: fills spec.price (from the given spot price)
-/// and, per stage, tau_est/tau_kill plus — for Chronos policies — r via the
-/// Algorithm-1 optimizer. Baseline policies get r = 0 and the timer fields
-/// only. Multi-stage jobs go through the critical-path deadline split (see
-/// plan_staged_spec); the returned result is stage 0's. Every planning path
-/// (closed-system plan_job, the serve::PlannerService) funnels through
-/// this, so *when* a job is priced is decided exactly once by the caller
-/// handing over `price`.
-core::OptimizationResult plan_spec(mapreduce::JobSpec& spec,
-                                   strategies::PolicyKind policy,
-                                   const PlannerConfig& config, double price);
-
-/// Plans a traced job at its submission time: plan_spec with the spot price
-/// sampled at job.submit_time (the §VI Application Master clock — never
-/// trace-generation or retry time).
-core::OptimizationResult plan_job(TracedJob& job,
-                                  strategies::PolicyKind policy,
-                                  const PlannerConfig& config,
-                                  const SpotPriceModel& prices);
-
-/// Plans a whole trace in place.
-void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
-                const PlannerConfig& config, const SpotPriceModel& prices);
-
 /// Expected makespan of N i.i.d. Pareto(t_min, beta) tasks:
 /// E[max] = t_min * Gamma(N+1) Gamma(1 - 1/beta) / Gamma(N+1 - 1/beta).
 /// Requires N >= 1, beta > 1.
@@ -96,26 +85,51 @@ double expected_stage_makespan(int num_tasks, double t_min, double beta);
 /// map/reduce split. Requires every stage beta > 1.
 std::vector<double> critical_path_split(const mapreduce::JobSpec& spec);
 
-/// Result of planning a staged job: one deadline share and one optimizer
-/// result per stage (results are default-constructed for non-analytic
-/// policies, which take r = 0 and timer fields only).
-struct StagedPlan {
-  std::vector<double> stage_deadlines;
-  std::vector<core::OptimizationResult> stages;
+/// The deadline each stage is planned against. A single-stage job gets
+/// spec.deadline, unsplit and unclamped. A staged job gets its
+/// critical_path_split share, raised to the feasibility floor
+/// t_min * (1 + tau_est_factor) (plus a hair) when a tight DAG pushes it
+/// below anything valid JobParams can express — the optimizer then reports
+/// the stage infeasible instead of rejecting its parameters.
+std::vector<double> stage_deadlines(const mapreduce::JobSpec& spec,
+                                    const PlannerConfig& config);
+
+/// The planning decision for one job: the policy that runs it and each
+/// stage's extra-attempt count, with the infeasible fallback (r = 1)
+/// already folded in. Baseline policies get r = 0 everywhere.
+struct Plan {
+  strategies::PolicyKind kind = strategies::PolicyKind::kHadoopNS;
+  bool feasible = false;     ///< analytic policy and every stage feasible
+  std::vector<long long> r;  ///< one entry per stage
+
+  friend bool operator==(const Plan&, const Plan&) = default;
 };
 
-/// Plans every stage of a job: splits the deadline along the critical path
-/// and runs one optimize() per stage (§III: stage PoCDs are optimized
-/// separately), sharing SharedAnalytics across same-shape stages. Fills
-/// each stage's r and tau fields in place. Single-stage jobs use spec.
-/// deadline directly and are bit-identical to the historical plan_spec.
-StagedPlan plan_staged_spec(mapreduce::JobSpec& spec,
-                            strategies::PolicyKind policy,
-                            const PlannerConfig& config, double price);
+/// Plans `spec` under `policy`, or under the best of Clone / S-Restart /
+/// S-Resume when `policy` is std::nullopt (auto). Auto picks the strategy
+/// with core::optimize_all on stage 0 — under the full deadline for a
+/// single-stage job (whose plan is then that search's result), under the
+/// root's unclamped critical-path share with S-Resume-style params for a
+/// staged one — and plans every stage under it. Pure: the spec is only
+/// read.
+Plan plan(const mapreduce::JobSpec& spec, const PlannerConfig& config,
+          double price, std::optional<strategies::PolicyKind> policy);
 
-/// plan_staged_spec with the spot price sampled at job.submit_time.
-StagedPlan plan_staged_job(TracedJob& job, strategies::PolicyKind policy,
-                           const PlannerConfig& config,
-                           const SpotPriceModel& prices);
+/// Writes `plan` into `spec`: spec.price = price and, per stage, r from the
+/// plan plus the timers tau_kill = tau_kill_factor * t_min and tau_est =
+/// tau_est_factor * t_min (0 under Clone). Requires one plan entry per
+/// stage.
+void apply(const Plan& plan, const PlannerConfig& config, double price,
+           mapreduce::JobSpec& spec);
+
+/// Plans a traced job at its submission time: apply(plan(...)) with the
+/// spot price sampled at job.submit_time (the §VI Application Master clock
+/// — never trace-generation or retry time).
+Plan plan_job(TracedJob& job, strategies::PolicyKind policy,
+              const PlannerConfig& config, const SpotPriceModel& prices);
+
+/// Plans a whole trace in place.
+void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
+                const PlannerConfig& config, const SpotPriceModel& prices);
 
 }  // namespace chronos::trace

@@ -398,6 +398,34 @@ TEST(OpenSystemPlanCache, ExactModeIsBitIdenticalToOff) {
   EXPECT_EQ(b.plan_cache_hits + b.plan_cache_misses, b.arrivals);
 }
 
+TEST(OpenSystemPlanCache, ExactModeHitsOnRepeatedShapesBitIdentically) {
+  // ExactModeIsBitIdenticalToOff samples continuous shapes, so its exact
+  // cache never hits. Here every arrival has the same shape (fixed task
+  // count, t_min, beta and deadline factor) and only the spot price
+  // varies, so exact keys repeat: the cache must serve hits, and a run
+  // served from it must still match the uncached run bit for bit — at one
+  // stage and at five (staged keys have no stage cap).
+  auto off = base_config(0.3, 4, 4);
+  off.auto_strategy = true;
+  off.workload.deadline_factor_lo = 2.0;
+  off.workload.deadline_factor_hi = 2.0;
+  off.admission.enabled = true;
+  auto staged = off;
+  for (int s = 0; s < 4; ++s) {
+    staged.workload.extra_stages.push_back(
+        mapreduce::StageSpec{4, 3.0 + s, 1.8, 0.0, 0.0, 0, {}});
+  }
+  for (const auto& uncached : {off, staged}) {
+    auto exact = uncached;
+    exact.plan_cache.mode = serve::CacheMode::kExact;
+    const auto a = sim::run_open_system(uncached);
+    const auto b = sim::run_open_system(exact);
+    expect_same_run(a, b);
+    EXPECT_GT(b.plan_cache_hits, 0u);
+    EXPECT_EQ(b.plan_cache_hits + b.plan_cache_misses, b.arrivals);
+  }
+}
+
 TEST(OpenSystemPlanCache, QuantizedModeHitsAndConserves) {
   // Quantized keys trade bit-identity for hit rate: with a coarse grid over
   // a continuously-sampled workload the cache must actually hit, and the

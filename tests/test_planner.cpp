@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 
 namespace chronos::trace {
@@ -78,12 +80,14 @@ TEST(Planner, PlanJobFillsChronosFields) {
   auto job = sample_job();
   PlannerConfig config;
   const SpotPriceModel prices;
-  const auto result =
+  const Plan result =
       plan_job(job, strategies::PolicyKind::kSResume, config, prices);
   EXPECT_TRUE(result.feasible);
+  EXPECT_EQ(result.kind, strategies::PolicyKind::kSResume);
   EXPECT_GT(job.spec.price, 0.0);
   EXPECT_EQ(job.spec.price, prices.price_at(1000.0));
-  EXPECT_EQ(job.spec.stage(0).r, result.r_opt);
+  ASSERT_EQ(result.r.size(), 1u);
+  EXPECT_EQ(job.spec.stage(0).r, result.r[0]);
   EXPECT_GT(job.spec.stage(0).r, 0);  // deadline-sensitive job wants speculation
   EXPECT_NEAR(job.spec.stage(0).tau_est, 9.0, 1e-12);
   EXPECT_NEAR(job.spec.stage(0).tau_kill, 24.0, 1e-12);
@@ -93,11 +97,30 @@ TEST(Planner, BaselinePoliciesGetPriceOnly) {
   auto job = sample_job();
   PlannerConfig config;
   const SpotPriceModel prices;
-  const auto result =
+  const Plan result =
       plan_job(job, strategies::PolicyKind::kMantri, config, prices);
   EXPECT_EQ(job.spec.stage(0).r, 0);
   EXPECT_GT(job.spec.price, 0.0);
-  EXPECT_EQ(result.r_opt, 0);
+  EXPECT_EQ(result.r, std::vector<long long>{0});
+  EXPECT_FALSE(result.feasible);
+  EXPECT_NEAR(job.spec.stage(0).tau_est, 9.0, 1e-12);  // factor * t_min
+}
+
+TEST(Planner, PlanIsPureAndApplyWritesIt) {
+  // plan() only reads the spec; apply() writes price, timers and r.
+  const auto spec = sample_job().spec;
+  PlannerConfig config;
+  auto planned = spec;
+  const Plan decision =
+      plan(planned, config, 0.4, strategies::PolicyKind::kClone);
+  EXPECT_EQ(planned.price, spec.price);
+  EXPECT_EQ(planned.stage(0).r, spec.stage(0).r);
+  EXPECT_EQ(planned.stage(0).tau_kill, spec.stage(0).tau_kill);
+  apply(decision, config, 0.4, planned);
+  EXPECT_EQ(planned.price, 0.4);
+  EXPECT_EQ(planned.stage(0).r, decision.r[0]);
+  EXPECT_EQ(planned.stage(0).tau_est, 0.0);  // Clone launches at once
+  EXPECT_NEAR(planned.stage(0).tau_kill, 24.0, 1e-12);
 }
 
 TEST(Planner, HigherThetaNeverIncreasesR) {

@@ -4,15 +4,16 @@
 // uncached planning (a hit is only ever served for bit-identical inputs,
 // and the per-request fields — price, tau timers — are recomputed, never
 // cached), quantized keys bucket on the geometric grid exactly where
-// quantize_bucket says they do, plan_batch is result- and stats-equivalent
-// to sequential plan() calls while doing strictly fewer optimizer runs,
-// and the lock-free table survives a multi-threaded reader/inserter hammer
-// (run under ASan/UBSan in CI).
+// quantize_bucket says they do, keys of any stage count cover every stage's
+// shape and wiring, and the lock-free table survives a multi-threaded
+// reader/inserter hammer (run under ASan/UBSan and TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -26,7 +27,6 @@ namespace chronos {
 namespace {
 
 using serve::CacheMode;
-using serve::CachedPlan;
 using serve::PlanCache;
 using serve::PlanCacheConfig;
 using serve::PlanKey;
@@ -63,6 +63,15 @@ PlanRequest request_for(mapreduce::JobSpec& spec, double price,
   return request;
 }
 
+/// The uncached reference: trace::apply(trace::plan(...)) on `spec`.
+trace::Plan plan_uncached(mapreduce::JobSpec& spec,
+                          std::optional<strategies::PolicyKind> policy,
+                          const trace::PlannerConfig& planner, double price) {
+  const trace::Plan plan = trace::plan(spec, planner, price, policy);
+  trace::apply(plan, planner, price, spec);
+  return plan;
+}
+
 /// Bitwise equality of every field the planner writes, on every stage.
 void expect_same_plan(const mapreduce::JobSpec& a,
                       const mapreduce::JobSpec& b) {
@@ -77,10 +86,10 @@ void expect_same_plan(const mapreduce::JobSpec& a,
 
 // --- exact mode: bit identity with uncached planning ------------------------
 
-TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
+TEST(PlannerService, ExactHitsAreBitIdenticalToUncachedPlan) {
   // A grid of shapes planned twice through an exact-key service: the second
-  // pass must be all hits and every planned field must equal what the
-  // uncached trace::plan_spec path computes, bit for bit.
+  // pass must be all hits and every planned field must equal what uncached
+  // trace::plan + trace::apply computes, bit for bit.
   PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
   for (const auto policy :
@@ -99,7 +108,7 @@ TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
             service.plan(request_for(warm, price, false, policy));
         EXPECT_TRUE(second.cache_hit);
 
-        trace::plan_spec(reference, policy, planner, price);
+        plan_uncached(reference, policy, planner, price);
         expect_same_plan(cold, reference);
         expect_same_plan(warm, reference);
         EXPECT_EQ(first.r, second.r);
@@ -260,6 +269,29 @@ TEST(PlannerService, KeyCoversEveryStagesFields) {
   EXPECT_FALSE(service.plan(req_base).cache_hit);
   EXPECT_FALSE(service.plan(req_wider).cache_hit);
   EXPECT_FALSE(service.plan(req_slower).cache_hit);
+
+  // The same holds at any width: seven-stage jobs differing only in stage
+  // 6's shape never share a key or a plan.
+  auto deep = make_spec(20, 20.0, 1.8, 900.0);
+  for (int s = 0; s < 6; ++s) {
+    deep.add_reduce_stage(6, 30.0, 1.6, 0);
+  }
+  auto deep_wider = deep;
+  deep_wider.stage(6).num_tasks = 9;
+  auto deep_slower = deep;
+  deep_slower.stage(6).t_min = 33.0;
+  auto req_deep =
+      request_for(deep, 0.4, false, strategies::PolicyKind::kSResume);
+  auto req_deep_wider =
+      request_for(deep_wider, 0.4, false, strategies::PolicyKind::kSResume);
+  auto req_deep_slower =
+      request_for(deep_slower, 0.4, false, strategies::PolicyKind::kSResume);
+  EXPECT_FALSE(service.make_key(req_deep) == service.make_key(req_deep_wider));
+  EXPECT_FALSE(service.make_key(req_deep) ==
+               service.make_key(req_deep_slower));
+  EXPECT_FALSE(service.plan(req_deep).cache_hit);
+  EXPECT_FALSE(service.plan(req_deep_wider).cache_hit);
+  EXPECT_FALSE(service.plan(req_deep_slower).cache_hit);
 }
 
 TEST(PlannerService, KeyCoversStageWiring) {
@@ -278,12 +310,31 @@ TEST(PlannerService, KeyCoversStageWiring) {
   auto req_fan =
       request_for(fan, 0.4, false, strategies::PolicyKind::kSResume);
   EXPECT_FALSE(service.make_key(req_chain) == service.make_key(req_fan));
+
+  // A wiring difference deep in a wide DAG: stage 6 of a seven-stage chain
+  // also fans in from the root. Keys differ, and the rewired job is
+  // planned on its own rather than served the chain's plan.
+  auto deep_chain = make_spec(20, 20.0, 1.8, 900.0);
+  for (int s = 0; s < 6; ++s) {
+    deep_chain.add_reduce_stage(6, 30.0, 1.6, 0);
+  }
+  auto deep_fan = deep_chain;
+  deep_fan.stage(6).deps = {0, 5};
+  auto req_deep_chain =
+      request_for(deep_chain, 0.4, false, strategies::PolicyKind::kSResume);
+  auto req_deep_fan =
+      request_for(deep_fan, 0.4, false, strategies::PolicyKind::kSResume);
+  EXPECT_FALSE(service.make_key(req_deep_chain) ==
+               service.make_key(req_deep_fan));
+  EXPECT_FALSE(service.plan(req_deep_chain).cache_hit);
+  EXPECT_FALSE(service.plan(req_deep_fan).cache_hit);
+  EXPECT_TRUE(service.plan(req_deep_fan).cache_hit);
 }
 
 TEST(PlannerService, StagedExactHitsMatchStagedPlanning) {
   // A staged job through an exact-key service twice: the second pass is a
   // hit and every per-stage planned field equals the uncached
-  // trace::plan_staged_spec output, bit for bit.
+  // trace::plan + trace::apply output, bit for bit.
   PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
   auto cold = make_spec(40, 25.0, 1.4, 500.0);
@@ -296,153 +347,85 @@ TEST(PlannerService, StagedExactHitsMatchStagedPlanning) {
       request_for(warm, 0.4, false, strategies::PolicyKind::kSResume));
   EXPECT_FALSE(miss.cache_hit);
   EXPECT_TRUE(hit.cache_hit);
-  trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
-                          planner, 0.4);
+  plan_uncached(reference, strategies::PolicyKind::kSResume, planner, 0.4);
   expect_same_plan(cold, reference);
   expect_same_plan(warm, reference);
   EXPECT_EQ(miss.r, reference.stage(0).r);
 }
 
-TEST(PlannerService, WideDagsBypassTheCache) {
-  // Jobs wider than kMaxKeyStages cannot be keyed: they are planned from
-  // scratch per request (correctly), never counting hits or misses.
+TEST(PlannerService, SixStageJobsAreCached) {
+  // The key has no stage cap: a six-stage job misses once, is inserted, and
+  // the repeat request is a hit bit-identical to uncached planning.
   PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
   auto spec = make_spec(8, 25.0, 1.4, 900.0);
-  for (int s = 0; s < serve::kMaxKeyStages; ++s) {
-    spec.add_reduce_stage(4, 30.0, 1.5);
+  for (int s = 0; s < 5; ++s) {
+    spec.add_reduce_stage(4, 30.0 + s, 1.5);
   }
-  ASSERT_GT(spec.num_stages(), serve::kMaxKeyStages);
+  ASSERT_EQ(spec.num_stages(), 6);
   auto reference = spec;
-  for (int i = 0; i < 2; ++i) {
+  const trace::Plan expected = plan_uncached(
+      reference, strategies::PolicyKind::kSResume, planner, 0.4);
+  for (const bool hit : {false, true}) {
     auto copy = spec;
     const PlanReply reply = service.plan(
         request_for(copy, 0.4, false, strategies::PolicyKind::kSResume));
-    EXPECT_FALSE(reply.cache_hit);
-    trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
-                            planner, 0.4);
+    EXPECT_EQ(reply.cache_hit, hit);
+    EXPECT_EQ(reply.kind, expected.kind);
+    EXPECT_EQ(reply.feasible, expected.feasible);
     expect_same_plan(copy, reference);
   }
   const auto stats = service.stats();
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.cache_size, 0u);
-}
-
-// --- batch API ---------------------------------------------------------------
-
-TEST(PlannerService, BatchMatchesSequentialPlans) {
-  // The same request stream through plan_batch and through sequential
-  // plan() calls on a twin service: bit-identical specs, identical replies
-  // and identical hit/miss accounting.
-  const auto shapes = std::vector<mapreduce::JobSpec>{
-      make_spec(50, 20.0, 1.8, 120.0), make_spec(80, 30.0, 1.6, 200.0),
-      make_spec(50, 20.0, 1.8, 120.0),  // duplicate of [0]
-      make_spec(12, 8.0, 2.4, 60.0)};
-  const std::vector<double> prices = {0.4, 0.5, 0.4, 0.6};
-  const std::vector<bool> autos = {false, true, false, false};
-  const std::vector<strategies::PolicyKind> policies = {
-      strategies::PolicyKind::kSResume, strategies::PolicyKind::kSResume,
-      strategies::PolicyKind::kSResume, strategies::PolicyKind::kHadoopS};
-
-  for (const CacheMode mode :
-       {CacheMode::kOff, CacheMode::kExact, CacheMode::kQuantized}) {
-    const double grid = mode == CacheMode::kQuantized ? 0.05 : 0.0;
-    PlannerService batched(service_config(mode, grid));
-    PlannerService sequential(service_config(mode, grid));
-
-    auto batch_specs = shapes;
-    std::vector<PlanRequest> requests;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      requests.push_back(request_for(batch_specs[i], prices[i], autos[i],
-                                     policies[i]));
-    }
-    const auto batch_replies = batched.plan_batch(requests);
-
-    auto seq_specs = shapes;
-    std::vector<PlanReply> seq_replies;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      seq_replies.push_back(sequential.plan(request_for(
-          seq_specs[i], prices[i], autos[i], policies[i])));
-    }
-
-    ASSERT_EQ(batch_replies.size(), seq_replies.size());
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      expect_same_plan(batch_specs[i], seq_specs[i]);
-      EXPECT_EQ(batch_replies[i].kind, seq_replies[i].kind) << i;
-      EXPECT_EQ(batch_replies[i].r, seq_replies[i].r) << i;
-      EXPECT_EQ(batch_replies[i].cache_hit, seq_replies[i].cache_hit) << i;
-    }
-    const auto lhs = batched.stats();
-    const auto rhs = sequential.stats();
-    EXPECT_EQ(lhs.requests, rhs.requests);
-    EXPECT_EQ(lhs.hits, rhs.hits);
-    EXPECT_EQ(lhs.misses, rhs.misses);
-    EXPECT_EQ(lhs.inserts, rhs.inserts);
-    EXPECT_EQ(lhs.cache_size, rhs.cache_size);
-  }
-}
-
-TEST(PlannerService, BatchWarmPassIsAllHits) {
-  PlannerService service(service_config(CacheMode::kExact));
-  auto specs = std::vector<mapreduce::JobSpec>{
-      make_spec(50, 20.0, 1.8, 120.0), make_spec(80, 30.0, 1.6, 200.0)};
-  std::vector<PlanRequest> requests;
-  for (auto& spec : specs) {
-    requests.push_back(
-        request_for(spec, 0.4, true, strategies::PolicyKind::kSResume));
-  }
-  for (const auto& reply : service.plan_batch(requests)) {
-    EXPECT_FALSE(reply.cache_hit);
-  }
-  auto warm_specs = specs;
-  std::vector<PlanRequest> warm;
-  for (auto& spec : warm_specs) {
-    warm.push_back(
-        request_for(spec, 0.4, true, strategies::PolicyKind::kSResume));
-  }
-  for (const auto& reply : service.plan_batch(warm)) {
-    EXPECT_TRUE(reply.cache_hit);
-  }
-  expect_same_plan(specs[0], warm_specs[0]);
-  expect_same_plan(specs[1], warm_specs[1]);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.cache_size, 1u);
 }
 
 // --- the lock-free table ----------------------------------------------------
 
 TEST(PlanCacheTable, InsertFindRoundTrip) {
   PlanCache cache(64);
-  PlanKey key;
-  key.mode = 2;
-  key.num_stages = 1;
-  key.stages[0].num_tasks = 50;
-  key.stages[0].t_min = 123;
+  const PlanKey key{{2, 1, 0, 0, 50, 123, 0, 0}};
   EXPECT_EQ(cache.find(key), nullptr);
-  EXPECT_TRUE(cache.insert(
-      key, CachedPlan{strategies::PolicyKind::kClone, 1, {3}, true}));
-  const CachedPlan* found = cache.find(key);
+  EXPECT_TRUE(
+      cache.insert(key, trace::Plan{strategies::PolicyKind::kClone, true, {3}}));
+  const trace::Plan* found = cache.find(key);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->kind, strategies::PolicyKind::kClone);
-  EXPECT_EQ(found->r[0], 3);
+  EXPECT_EQ(found->r, std::vector<long long>{3});
   EXPECT_TRUE(found->feasible);
   // Re-inserting the same key reports failure and keeps the first value.
   EXPECT_FALSE(cache.insert(
-      key, CachedPlan{strategies::PolicyKind::kMantri, 1, {9}, false}));
-  EXPECT_EQ(cache.find(key)->r[0], 3);
+      key, trace::Plan{strategies::PolicyKind::kMantri, false, {9}}));
+  EXPECT_EQ(cache.find(key)->r, std::vector<long long>{3});
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PlanCacheTable, KeysOfDifferentLengthsNeverCollide) {
+  // A key that is a prefix of another (or equal up to trailing zeros) is a
+  // different key: the variable-length encoding compares whole vectors.
+  PlanCache cache(64);
+  const PlanKey short_key{{2, 1, 0, 0, 50, 123, 0, 0}};
+  const PlanKey long_key{{2, 1, 0, 0, 50, 123, 0, 0, 0, 0, 0, 0}};
+  EXPECT_TRUE(cache.insert(
+      short_key, trace::Plan{strategies::PolicyKind::kClone, true, {1}}));
+  EXPECT_EQ(cache.find(long_key), nullptr);
+  EXPECT_TRUE(cache.insert(
+      long_key, trace::Plan{strategies::PolicyKind::kClone, true, {2, 3}}));
+  EXPECT_EQ(cache.find(short_key)->r, std::vector<long long>{1});
+  EXPECT_EQ(cache.find(long_key)->r, (std::vector<long long>{2, 3}));
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(PlanCacheTable, FullTableDropsInsertsButStaysCorrect) {
   PlanCache cache(1);  // a single slot: the second distinct key must drop
-  PlanKey a;
-  a.stages[0].t_min = 1;
-  PlanKey b;
-  b.stages[0].t_min = 2;
-  EXPECT_TRUE(cache.insert(
-      a, CachedPlan{strategies::PolicyKind::kClone, 1, {1}, true}));
-  EXPECT_FALSE(cache.insert(
-      b, CachedPlan{strategies::PolicyKind::kClone, 1, {2}, true}));
+  const PlanKey a{{0, 1, 0, 0, 0, 1, 0, 0}};
+  const PlanKey b{{0, 1, 0, 0, 0, 2, 0, 0}};
+  EXPECT_TRUE(
+      cache.insert(a, trace::Plan{strategies::PolicyKind::kClone, true, {1}}));
+  EXPECT_FALSE(
+      cache.insert(b, trace::Plan{strategies::PolicyKind::kClone, true, {2}}));
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_NE(cache.find(a), nullptr);
   EXPECT_EQ(cache.find(b), nullptr);
@@ -460,8 +443,7 @@ TEST(PlannerService, TinyCacheStillPlansCorrectly) {
     auto reference = spec;
     service.plan(request_for(spec, 0.4, false,
                              strategies::PolicyKind::kSResume));
-    trace::plan_spec(reference, strategies::PolicyKind::kSResume, planner,
-                     0.4);
+    plan_uncached(reference, strategies::PolicyKind::kSResume, planner, 0.4);
     expect_same_plan(spec, reference);
   }
   const auto stats = service.stats();
@@ -483,6 +465,14 @@ TEST(PlanCacheConfigValidation, RejectsBadKnobs) {
   PlanCacheConfig off;  // off ignores the other knobs entirely
   off.capacity = 0;
   EXPECT_NO_THROW(off.validate());
+}
+
+TEST(PlanCacheConfigValidation, ServiceValidatesBeforeSizingTheTable) {
+  // Regression: the service used to size its table before validating, and
+  // rounding a capacity above 2^63 up to a power of two never terminated.
+  PlannerServiceConfig config = service_config(CacheMode::kExact);
+  config.cache.capacity = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(PlannerService{config}, PreconditionError);
 }
 
 // --- multi-threaded hammer (readers + inserters, ASan/UBSan in CI) ----------
@@ -554,7 +544,7 @@ TEST(PlannerServiceConcurrency, HammerReadersAndInserters) {
       EXPECT_EQ(reply.kind, trace::policy_of(best.strategy)) << s;
       EXPECT_EQ(spec.stage(0).r, best.result.feasible ? best.result.r_opt : 1) << s;
     } else {
-      trace::plan_spec(reference, request.policy, planner, request.price);
+      plan_uncached(reference, request.policy, planner, request.price);
       expect_same_plan(spec, reference);
     }
   }

@@ -319,19 +319,30 @@ TEST(StagedPlanner, SplitsDeadlineAndFillsEveryStage) {
   job.spec.deadline = 600.0;
   trace::PlannerConfig config;
   const trace::SpotPriceModel prices;
-  const auto plan = trace::plan_staged_job(
+  const auto plan = trace::plan_job(
       job, strategies::PolicyKind::kSResume, config, prices);
-  ASSERT_EQ(plan.stage_deadlines.size(), 2u);
-  ASSERT_EQ(plan.stages.size(), 2u);
+  const auto deadlines = trace::stage_deadlines(job.spec, config);
+  ASSERT_EQ(deadlines.size(), 2u);
+  ASSERT_EQ(plan.r.size(), 2u);
   // A barrier chain puts every stage on the critical path: the per-stage
   // shares partition the job deadline.
-  EXPECT_NEAR(plan.stage_deadlines[0] + plan.stage_deadlines[1], 600.0, 1e-9);
-  EXPECT_GT(plan.stage_deadlines[0], 0.0);
-  EXPECT_GT(plan.stage_deadlines[1], 0.0);
+  EXPECT_NEAR(deadlines[0] + deadlines[1], 600.0, 1e-9);
+  EXPECT_GT(deadlines[0], 0.0);
+  EXPECT_GT(deadlines[1], 0.0);
+  EXPECT_TRUE(plan.feasible);
   for (int s = 0; s < 2; ++s) {
-    EXPECT_TRUE(plan.stages[static_cast<std::size_t>(s)].feasible);
-    EXPECT_EQ(job.spec.stage(s).r,
-              plan.stages[static_cast<std::size_t>(s)].r_opt);
+    // One Algorithm-1 run per stage under its own deadline share.
+    const auto& stage = job.spec.stage(s);
+    const double share = deadlines[static_cast<std::size_t>(s)];
+    const auto result = core::optimize(
+        core::Strategy::kSpeculativeResume,
+        trace::stage_job_params(stage, share, config,
+                                core::Strategy::kSpeculativeResume),
+        trace::stage_economics(stage, share, config, job.spec.price),
+        config.optimizer);
+    EXPECT_TRUE(result.feasible);
+    EXPECT_EQ(job.spec.stage(s).r, result.r_opt);
+    EXPECT_EQ(job.spec.stage(s).r, plan.r[static_cast<std::size_t>(s)]);
     EXPECT_GE(job.spec.stage(s).tau_est, 0.0);
     EXPECT_GT(job.spec.stage(s).tau_kill, job.spec.stage(s).tau_est);
   }
@@ -366,11 +377,35 @@ TEST(StagedPlanner, SingleStageUsesWholeDeadline) {
   job.spec.stages.resize(1);
   trace::PlannerConfig config;
   const trace::SpotPriceModel prices;
-  const auto plan = trace::plan_staged_job(
+  const auto plan = trace::plan_job(
       job, strategies::PolicyKind::kClone, config, prices);
-  ASSERT_EQ(plan.stage_deadlines.size(), 1u);
-  EXPECT_EQ(plan.stage_deadlines[0], job.spec.deadline);
-  EXPECT_TRUE(plan.stages[0].feasible);
+  const auto deadlines = trace::stage_deadlines(job.spec, config);
+  ASSERT_EQ(deadlines.size(), 1u);
+  EXPECT_EQ(deadlines[0], job.spec.deadline);
+  EXPECT_TRUE(plan.feasible);
+}
+
+TEST(StagedPlanner, TightStageSharesClampToTheFeasibilityFloor) {
+  // A deadline far below the stages' expected makespans: every share is
+  // raised to t_min * (1 + tau_est_factor).
+  JobSpec spec = two_stage_job();
+  spec.deadline = 1.0;
+  trace::PlannerConfig config;
+  const auto raw = trace::critical_path_split(spec);
+  const auto deadlines = trace::stage_deadlines(spec, config);
+  ASSERT_EQ(deadlines.size(), 2u);
+  for (int s = 0; s < 2; ++s) {
+    const double floor =
+        spec.stage(s).t_min * (1.0 + config.tau_est_factor) * (1.0 + 1e-9);
+    EXPECT_LT(raw[static_cast<std::size_t>(s)], floor);
+    EXPECT_EQ(deadlines[static_cast<std::size_t>(s)], floor);
+  }
+  // Planning against the floor is well-defined rather than a rejected
+  // JobParams.
+  trace::Plan plan;
+  EXPECT_NO_THROW(
+      plan = trace::plan(spec, config, 0.4, strategies::PolicyKind::kSResume));
+  EXPECT_EQ(plan.r.size(), 2u);
 }
 
 TEST(StagedPlanner, PlannedJobSimulatesEndToEnd) {
@@ -380,8 +415,7 @@ TEST(StagedPlanner, PlannedJobSimulatesEndToEnd) {
   job.spec.deadline = 900.0;
   trace::PlannerConfig config;
   const trace::SpotPriceModel prices;
-  trace::plan_staged_job(job, strategies::PolicyKind::kSResume, config,
-                         prices);
+  trace::plan_job(job, strategies::PolicyKind::kSResume, config, prices);
   StageRun run(strategies::PolicyKind::kSResume, job.spec, 99);
   EXPECT_TRUE(run.job().done);
   EXPECT_EQ(run.scheduler->metrics().jobs(), 1u);
