@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "exp/report.h"
@@ -274,6 +277,277 @@ TEST(Manifest, ShardSectionNeverChangesTheJournalSalt) {
       "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
       "[shard]\ncount = 8\ndir = journals\n"));
   EXPECT_EQ(unsharded, sharded);
+}
+
+/// Expects parse_manifest to reject `text` with a message containing every
+/// string of `what`, located at one of `lines` ("manifest line N:"). A
+/// bound on a single key may point at the key's line or at its section
+/// header; both locate the mistake.
+void expect_rejected(const std::string& text,
+                     std::initializer_list<std::string> what,
+                     std::initializer_list<int> lines) {
+  try {
+    parse_manifest(text);
+    ADD_FAILURE() << "expected a parse error for:\n" << text;
+  } catch (const PreconditionError& error) {
+    const std::string message = error.what();
+    for (const std::string& needle : what) {
+      EXPECT_NE(message.find(needle), std::string::npos)
+          << "missing '" << needle << "' in: " << message;
+    }
+    bool located = lines.size() == 0;
+    for (const int line : lines) {
+      located = located || message.find("manifest line " +
+                                        std::to_string(line) + ":") !=
+                               std::string::npos;
+    }
+    EXPECT_TRUE(located) << "wrong line in: " << message;
+  }
+}
+
+TEST(Manifest, ArrivalsAndStageSectionsParseAndReject) {
+  // Every [arrivals] key, away from its default.
+  const Manifest open = parse_manifest(R"([sweep]
+policies = clone
+[axis.lambda]
+values = 0.05, 0.1
+[axis.nodes]
+values = 2, 4
+[experiment]
+utility = on
+r_min = 0.25
+[arrivals]
+kind = diurnal
+rate = @lambda
+amplitude = 0.25
+period_hours = 2
+duration_hours = 3
+warm_up_hours = 0.5
+drain = off
+plan = auto
+plan_cache = quantized:0.05
+admission = off
+degrade_headroom = 1.5
+reject_queue_factor = 2.5
+nodes = @nodes
+containers = 6
+slow_fraction = 0.25
+slow_speed = 0.75
+)");
+  ASSERT_TRUE(open.arrivals.has_value());
+  const ManifestArrivals& a = *open.arrivals;
+  EXPECT_EQ(a.spec.kind, trace::ArrivalKind::kDiurnal);
+  EXPECT_EQ(a.rate.axis, "lambda");
+  EXPECT_DOUBLE_EQ(a.spec.amplitude, 0.25);
+  EXPECT_DOUBLE_EQ(a.spec.period, 7200.0);
+  EXPECT_DOUBLE_EQ(a.duration_hours, 3.0);
+  EXPECT_DOUBLE_EQ(a.warm_up_hours, 0.5);
+  EXPECT_FALSE(a.drain);
+  EXPECT_TRUE(a.auto_strategy);
+  EXPECT_EQ(a.plan_cache.mode, serve::CacheMode::kQuantized);
+  EXPECT_DOUBLE_EQ(a.plan_cache.grid, 0.05);
+  EXPECT_FALSE(a.admission_enabled);
+  EXPECT_DOUBLE_EQ(a.degrade_headroom, 1.5);
+  EXPECT_DOUBLE_EQ(a.reject_queue_factor, 2.5);
+  ASSERT_TRUE(a.nodes.has_value());
+  EXPECT_EQ(a.nodes->axis, "nodes");
+  EXPECT_EQ(a.containers, 6);
+  ASSERT_TRUE(a.slow_fraction.has_value());
+  EXPECT_FALSE(a.slow_fraction->bound());
+  EXPECT_DOUBLE_EQ(a.slow_fraction->fixed, 0.25);
+  EXPECT_DOUBLE_EQ(a.slow_speed, 0.75);
+  EXPECT_EQ(open.r_min_mode, RMinMode::kFixed);
+  EXPECT_DOUBLE_EQ(open.r_min_fixed, 0.25);
+
+  // Defaults, and a fixed rate copied into the arrival spec.
+  const Manifest plain = parse_manifest(
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.3\n");
+  ASSERT_TRUE(plain.arrivals.has_value());
+  const ManifestArrivals& d = *plain.arrivals;
+  EXPECT_EQ(d.spec.kind, trace::ArrivalKind::kPoisson);
+  EXPECT_FALSE(d.rate.bound());
+  EXPECT_DOUBLE_EQ(d.rate.fixed, 0.3);
+  EXPECT_DOUBLE_EQ(d.spec.rate, 0.3);
+  EXPECT_DOUBLE_EQ(d.spec.amplitude, 0.5);
+  EXPECT_DOUBLE_EQ(d.spec.period, 86400.0);
+  EXPECT_DOUBLE_EQ(d.duration_hours, 1.0);
+  EXPECT_DOUBLE_EQ(d.warm_up_hours, 0.0);
+  EXPECT_TRUE(d.drain);
+  EXPECT_FALSE(d.auto_strategy);
+  EXPECT_EQ(d.plan_cache.mode, serve::CacheMode::kOff);
+  EXPECT_TRUE(d.admission_enabled);
+  EXPECT_DOUBLE_EQ(d.degrade_headroom, 1.0);
+  EXPECT_DOUBLE_EQ(d.reject_queue_factor, 4.0);
+  EXPECT_FALSE(d.nodes.has_value());
+  EXPECT_EQ(d.containers, 8);
+  EXPECT_FALSE(d.slow_fraction.has_value());
+  EXPECT_DOUBLE_EQ(d.slow_speed, 0.5);
+  EXPECT_FALSE(parse_manifest("[sweep]\npolicies = clone\n").arrivals);
+
+  // The plan_cache forms.
+  const auto cache_of = [](const std::string& value) {
+    return parse_manifest("[sweep]\npolicies = clone\n[arrivals]\nrate = "
+                          "0.3\nplan_cache = " +
+                          value + "\n")
+        .arrivals->plan_cache;
+  };
+  EXPECT_EQ(cache_of("off").mode, serve::CacheMode::kOff);
+  EXPECT_EQ(cache_of("exact").mode, serve::CacheMode::kExact);
+  EXPECT_EQ(cache_of("quantized:0.1").mode, serve::CacheMode::kQuantized);
+  EXPECT_DOUBLE_EQ(cache_of("quantized:0.1").grid, 0.1);
+
+  // Trace replay: the file's times are loaded at parse time.
+  const std::string times_path =
+      ::testing::TempDir() + "chronos_manifest_times.txt";
+  {
+    std::ofstream times(times_path);
+    times << "1\n2.5\n";
+  }
+  const Manifest replay = parse_manifest(
+      "[sweep]\npolicies = clone\n[arrivals]\nkind = trace\nfile = " +
+      times_path + "\n");
+  EXPECT_EQ(replay.arrivals->spec.kind, trace::ArrivalKind::kTrace);
+  EXPECT_EQ(replay.arrivals->file, times_path);
+  EXPECT_EQ(replay.arrivals->spec.times, (std::vector<double>{1.0, 2.5}));
+
+  // Every [stage.N] key.
+  const Manifest staged = parse_manifest(R"([sweep]
+policies = clone
+[axis.w]
+values = 2, 3
+[stage.1]
+tasks = @w
+t_min = 8
+beta = 1.5
+[stage.2]
+tasks = 2
+t_min = @w
+beta = 1.6
+deps = 0, 1
+)");
+  ASSERT_EQ(staged.stages.size(), 2u);
+  EXPECT_EQ(staged.stages[0].tasks.axis, "w");
+  EXPECT_DOUBLE_EQ(staged.stages[0].t_min.fixed, 8.0);
+  EXPECT_DOUBLE_EQ(staged.stages[0].beta.fixed, 1.5);
+  EXPECT_TRUE(staged.stages[0].deps.empty());
+  EXPECT_DOUBLE_EQ(staged.stages[1].tasks.fixed, 2.0);
+  EXPECT_EQ(staged.stages[1].t_min.axis, "w");
+  EXPECT_DOUBLE_EQ(staged.stages[1].beta.fixed, 1.6);
+  EXPECT_EQ(staged.stages[1].deps, (std::vector<int>{0, 1}));
+
+  // [arrivals] rejections; lines 1-3 are "[sweep]", "policies = clone",
+  // "[arrivals]".
+  const std::string head = "[sweep]\npolicies = clone\n[arrivals]\n";
+  expect_rejected(head + "kind = burst\nrate = 1\n", {"kind", "'burst'"},
+                  {4});
+  expect_rejected(head + "kind = poisson\n",
+                  {"missing required key 'rate'"}, {3});
+  expect_rejected(head + "rate = 0\n",
+                  {"rate must be positive and finite"}, {4});
+  expect_rejected(head + "rate = fast\n", {"'fast'"}, {4});
+  expect_rejected(head + "rate = @nope\n",
+                  {"binds to an axis that does not exist"}, {4});
+  expect_rejected(head + "kind = trace\n", {"missing required key 'file'"},
+                  {3});
+  expect_rejected(head + "kind = trace\nfile = " + times_path +
+                      "\nrate = 0.1\n",
+                  {"'rate'"}, {6});
+  expect_rejected(head + "rate = 0.1\nfile = " + times_path + "\n",
+                  {"'file'"}, {5});
+  expect_rejected(head + "kind = trace\nfile = /nonexistent/times.txt\n",
+                  {"/nonexistent/times.txt"}, {});
+  expect_rejected(head + "rate = 1\namplitude = big\n", {"'big'"}, {5});
+  expect_rejected(head + "kind = diurnal\nrate = 1\namplitude = 1.5\n",
+                  {"amplitude must lie in [0, 1)"}, {});
+  expect_rejected(head + "rate = 1\nperiod_hours = day\n", {"'day'"}, {5});
+  expect_rejected(head + "kind = diurnal\nrate = 1\nperiod_hours = 0\n",
+                  {"period must be positive and finite"}, {});
+  expect_rejected(head + "rate = 1\nduration_hours = 0\n",
+                  {"duration_hours > 0"}, {3});
+  expect_rejected(head + "rate = 1\nduration_hours = 1\nwarm_up_hours = 1\n",
+                  {"warm_up_hours in [0, duration_hours)"}, {3});
+  expect_rejected(head + "rate = 1\ndrain = maybe\n", {"not a boolean"},
+                  {5});
+  expect_rejected(head + "rate = 1\nplan = greedy\n",
+                  {"plan must be 'policy' or 'auto'", "'greedy'"}, {5});
+  expect_rejected(head + "rate = 1\nplan_cache = lru\n",
+                  {"plan_cache must be off, exact or quantized:<grid>"},
+                  {5});
+  expect_rejected(head + "rate = 1\nplan_cache = quantized:0\n",
+                  {"plan_cache quantization grid must be a positive number"},
+                  {5});
+  expect_rejected(head + "rate = 1\nadmission = maybe\n", {"not a boolean"},
+                  {5});
+  expect_rejected(head + "rate = 1\ndegrade_headroom = 0\n",
+                  {"must be positive and finite"}, {3, 5});
+  expect_rejected(head + "rate = 1\nreject_queue_factor = -1\n",
+                  {"must be positive and finite"}, {3, 5});
+  expect_rejected(head + "rate = 1\nnodes = @nope\n",
+                  {"binds to an axis that does not exist"}, {5});
+  expect_rejected(head + "rate = 1\ncontainers = 0\n",
+                  {"containers must"}, {3, 5});
+  expect_rejected(head + "rate = 1\ncontainers = 1048577\n",
+                  {"containers must"}, {3, 5});
+  expect_rejected(head + "rate = 1\ncontainers = six\n",
+                  {"not an integer"}, {5});
+  expect_rejected(head + "rate = 1\nslow_fraction = 0.5\n",
+                  {"slow_fraction needs an explicit cluster"}, {3});
+  expect_rejected(head + "rate = 1\nnodes = 4\nslow_fraction = 1.5\n",
+                  {"slow_fraction must lie in [0, 1]"}, {3, 6});
+  expect_rejected(head + "rate = 1\nslow_speed = 0\n",
+                  {"slow_speed must be positive and finite"}, {3, 5});
+  expect_rejected(head + "rate = 1\nburst = 3\n",
+                  {"unknown key 'burst' in [arrivals]"}, {5});
+  expect_rejected("[sweep]\npolicies = clone\n[experiment]\nutility = on\n"
+                  "[arrivals]\nrate = 1\n",
+                  {"need a numeric r_min"}, {5});
+
+  // [stage.N] rejections; lines 1-3 are "[sweep]", "policies = clone",
+  // "[stage.1]".
+  const std::string stage = "[sweep]\npolicies = clone\n[stage.1]\n";
+  expect_rejected("[sweep]\npolicies = clone\n[stage.2]\ntasks = 1\n"
+                  "t_min = 1\nbeta = 1.5\n",
+                  {"expected [stage.1], got [stage.2]"}, {3});
+  expect_rejected("[sweep]\npolicies = clone\n[stage.x]\n",
+                  {"stage section needs a number"}, {3});
+  expect_rejected(stage + "t_min = 1\nbeta = 1.5\n",
+                  {"missing required key 'tasks'"}, {3});
+  expect_rejected(stage + "tasks = 1\nbeta = 1.5\n",
+                  {"missing required key 't_min'"}, {3});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\n",
+                  {"missing required key 'beta'"}, {3});
+  expect_rejected(stage + "tasks = 0\nt_min = 1\nbeta = 1.5\n",
+                  {"tasks must be >= 1"}, {3, 4});
+  expect_rejected(stage + "tasks = 1\nt_min = 0\nbeta = 1.5\n",
+                  {"t_min must be positive and finite"}, {3, 5});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\nbeta = 1\n",
+                  {"beta must exceed 1"}, {3, 6});
+  expect_rejected(stage + "tasks = @nope\nt_min = 1\nbeta = 1.5\n",
+                  {"binds to an axis that does not exist"}, {4});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\nbeta = 1.5\ndeps = x\n",
+                  {"stage dep 'x' is not an integer"}, {7});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\nbeta = 1.5\ndeps = 1\n",
+                  {"stage dep 1 must reference an earlier stage (0..0)"},
+                  {7});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\nbeta = 1.5\n[stage.2]\n"
+                          "tasks = 1\nt_min = 1\nbeta = 1.5\ndeps = 0, 0\n",
+                  {"duplicate stage dep 0"}, {11});
+  expect_rejected(stage + "tasks = 1\nt_min = 1\nbeta = 1.5\nwidth = 2\n",
+                  {"unknown key 'width' in [stage.1]"}, {7});
+
+  // [sweep] and [axis.*] rejections not covered by RejectsBadInput.
+  expect_rejected("[sweep]\nname = x\n", {"missing required key 'policies'"},
+                  {1});
+  expect_rejected("[sweep]\npolicies = clone,,mantri\n",
+                  {"empty list item"}, {2});
+  expect_rejected("[sweep]\npolicies = \"clone\n",
+                  {"unterminated quote"}, {2});
+  expect_rejected("[sweep]\npolicies = clone\nseed = x\n",
+                  {"not an unsigned integer"}, {3});
+  expect_rejected("[sweep]\npolicies = clone\nreplications = 0\n",
+                  {"at least one replication"}, {});
+  expect_rejected("[sweep]\npolicies = clone\n[axis.]\nvalues = 1\n",
+                  {"axis section needs a name"}, {3});
 }
 
 TEST(Manifest, EndToEndRunMatchesHandBuiltSweep) {
