@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
-#include <vector>
-
-#include <cmath>
 
 #include "common/error.h"
 #include "common/numeric.h"
@@ -21,24 +19,34 @@
 
 namespace chronos::exp {
 
+struct FieldInput {
+  std::string_view section;  ///< the section's name in the file
+  std::size_t instance = 0;  ///< of a repeated section: 0 for the first
+  std::string_view value;
+  int line = 0;
+  const std::vector<Axis>* axes = nullptr;  ///< for "@axis" bindings
+};
+
 namespace {
+
+using enum FieldCheck;
 
 [[noreturn]] void fail(int line, const std::string& message) {
   CHRONOS_EXPECTS(false,
                   "manifest line " + std::to_string(line) + ": " + message);
 }
 
-std::string trim(const std::string& text) {
+std::string_view trim(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) {
-    return "";
+  if (begin == std::string_view::npos) {
+    return {};
   }
   const auto end = text.find_last_not_of(" \t\r");
   return text.substr(begin, end - begin + 1);
 }
 
 /// Strips a '#' comment that sits outside double quotes.
-std::string strip_inline_comment(const std::string& text) {
+std::string_view strip_inline_comment(std::string_view text) {
   bool quoted = false;
   for (std::size_t i = 0; i < text.size(); ++i) {
     if (text[i] == '"') {
@@ -50,96 +58,92 @@ std::string strip_inline_comment(const std::string& text) {
   return text;
 }
 
+/// Views into the manifest text, which outlives the parse.
 struct IniEntry {
-  std::string value;
+  std::string_view key;
+  std::string_view value;
   int line = 0;
-  bool used = false;
 };
 
 struct IniSection {
-  std::string name;
+  std::string_view name;
   int line = 0;
-  std::vector<std::pair<std::string, IniEntry>> entries;  ///< in file order
-  bool known = false;  ///< a reader claimed this section name
+  std::vector<IniEntry> entries;  ///< in file order
+  bool known = false;  ///< a table section matched this name
 };
 
-std::vector<IniSection> parse_ini(const std::string& text) {
+const IniEntry* entry_of(const IniSection& section, std::string_view key) {
+  const auto it = std::ranges::find(section.entries, key, &IniEntry::key);
+  return it == section.entries.end() ? nullptr : &*it;
+}
+
+std::vector<IniSection> parse_ini(std::string_view text) {
   std::vector<IniSection> sections;
   int line_number = 0;
   std::size_t at = 0;
   while (at <= text.size()) {
-    const std::size_t end = text.find('\n', at);
-    std::string raw = text.substr(
-        at, end == std::string::npos ? std::string::npos : end - at);
-    at = end == std::string::npos ? text.size() + 1 : end + 1;
+    const std::size_t end = std::min(text.find('\n', at), text.size());
+    const std::string_view line =
+        trim(strip_inline_comment(text.substr(at, end - at)));
+    at = end + 1;
     ++line_number;
-
-    std::string line = trim(raw);
-    if (line.empty() || line.front() == '#' || line.front() == ';') {
-      continue;
-    }
-    line = trim(strip_inline_comment(line));
-    if (line.empty()) {
+    if (line.empty() || line.front() == ';') {
       continue;
     }
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
-        fail(line_number, "malformed section header '" + line + "'");
+        fail(line_number,
+             "malformed section header '" + std::string(line) + "'");
       }
-      const std::string name = trim(line.substr(1, line.size() - 2));
+      const std::string_view name = trim(line.substr(1, line.size() - 2));
       if (name.empty()) {
         fail(line_number, "empty section name");
       }
-      for (const IniSection& section : sections) {
-        if (section.name == name) {
-          fail(line_number, "duplicate section [" + name + "]");
-        }
+      if (std::ranges::find(sections, name, &IniSection::name) !=
+          sections.end()) {
+        fail(line_number, "duplicate section [" + std::string(name) + "]");
       }
-      IniSection section;
+      IniSection& section = sections.emplace_back();
       section.name = name;
       section.line = line_number;
-      sections.push_back(std::move(section));
       continue;
     }
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      fail(line_number, "expected 'key = value', got '" + line + "'");
+    if (eq == std::string_view::npos) {
+      fail(line_number,
+           "expected 'key = value', got '" + std::string(line) + "'");
     }
     if (sections.empty()) {
       fail(line_number, "key outside any [section]");
     }
-    const std::string key = trim(line.substr(0, eq));
+    const std::string_view key = trim(line.substr(0, eq));
     if (key.empty()) {
       fail(line_number, "empty key");
     }
     IniSection& section = sections.back();
-    for (const auto& [existing, entry] : section.entries) {
-      if (existing == key) {
-        fail(line_number, "duplicate key '" + key + "' in [" +
-                              section.name + "] (first on line " +
-                              std::to_string(entry.line) + ")");
-      }
+    if (const IniEntry* first = entry_of(section, key)) {
+      fail(line_number, "duplicate key '" + std::string(key) + "' in [" +
+                            std::string(section.name) + "] (first on line " +
+                            std::to_string(first->line) + ")");
     }
-    IniEntry entry;
-    entry.value = trim(line.substr(eq + 1));
-    entry.line = line_number;
-    section.entries.emplace_back(key, std::move(entry));
+    section.entries.push_back(
+        {.key = key, .value = trim(line.substr(eq + 1)), .line = line_number});
   }
   return sections;
 }
 
 /// Comma-separated list; double quotes protect commas inside an item.
-std::vector<std::string> split_list(const std::string& value, int line) {
+std::vector<std::string> split_list(std::string_view value, int line) {
   std::vector<std::string> items;
   std::string current;
   bool quoted = false;
   bool had_quotes = false;
   const auto push = [&] {
-    const std::string item = had_quotes ? current : trim(current);
+    std::string item = had_quotes ? current : std::string(trim(current));
     if (item.empty() && !had_quotes) {
       fail(line, "empty list item");
     }
-    items.push_back(item);
+    items.push_back(std::move(item));
     current.clear();
     had_quotes = false;
   };
@@ -172,165 +176,647 @@ std::vector<std::string> split_list(const std::string& value, int line) {
   return items;
 }
 
-/// Typed, used-marking view over one section.
-class SectionReader {
- public:
-  explicit SectionReader(IniSection* section) : section_(section) {
-    if (section_ != nullptr) {
-      section_->known = true;
-    }
+/// Exact integer parse of the whole text (from_chars, never via double: a
+/// double round trip would silently round values above 2^53).
+template <typename T>
+bool parse_exact(std::string_view text, T& out) {
+  if (!text.empty() && text.front() == '+') {
+    text.remove_prefix(1);
   }
+  const auto result =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  return !text.empty() && result.ec == std::errc() &&
+         result.ptr == text.data() + text.size();
+}
 
-  bool present() const { return section_ != nullptr; }
+// --- field parsing and encoding -------------------------------------------
 
-  IniEntry* find(const std::string& key) const {
-    if (section_ == nullptr) {
-      return nullptr;
+/// "<section> <key> <rule>, got '<value>'".
+[[noreturn]] void reject(const ManifestField& field, const FieldInput& in,
+                         std::string_view rule) {
+  fail(in.line, std::string(in.section) + " " + std::string(field.key) + " " +
+                    std::string(rule) + ", got '" + std::string(in.value) +
+                    "'");
+}
+
+void check(const ManifestField& field, const FieldInput& in, double v) {
+  const bool finite = std::isfinite(v);
+  const std::string_view broken =
+      field.check == kPositive && !(finite && v > 0.0)
+          ? "must be positive and finite"
+      : field.check == kUnitInterval && !(v >= 0.0 && v <= 1.0)
+          ? "must lie in [0, 1]"
+      : field.check == kAtLeastOne && !(finite && v >= 1.0) ? "must be >= 1"
+      : field.check == kAboveOne && !(finite && v > 1.0)
+          ? "must exceed 1 (finite mean)"
+          : "";
+  if (!broken.empty()) {
+    reject(field, in, broken);
+  }
+}
+
+int parse_enum(const ManifestField& field, const FieldInput& in) {
+  std::string rule = "must be ";
+  for (std::size_t i = 0; i < field.names.size(); ++i) {
+    if (field.names[i].name == in.value) {
+      return field.names[i].value;
     }
-    for (auto& [name, entry] : section_->entries) {
-      if (name == key) {
-        entry.used = true;
-        return &entry;
+    rule += i == 0 ? "'" : i + 1 == field.names.size() ? " or '" : ", '";
+    rule += field.names[i].name;
+    rule += "'";
+  }
+  reject(field, in, rule);
+}
+
+/// Parses `in` into `out`, whose type picks the syntax.
+template <typename V>
+void parse_value(const ManifestField& field, const FieldInput& in, V& out) {
+  const std::string_view v = in.value;
+  if constexpr (std::is_same_v<V, std::optional<Binding>>) {
+    parse_value(field, in, out.emplace());
+  } else if constexpr (std::is_same_v<V, Binding>) {
+    // "@axis" binds to that axis; anything else must be a number.
+    out = Binding{};
+    if (v.starts_with('@')) {
+      out.axis = v.substr(1);
+      if (std::none_of(in.axes->begin(), in.axes->end(),
+                       [&](const Axis& a) { return a.name == out.axis; })) {
+        fail(in.line,
+             "'" + std::string(v) + "' binds to an axis that does not exist");
+      }
+      return;
+    }
+    if (!numeric::parse_double(v, out.fixed)) {
+      fail(in.line, "'" + std::string(v) +
+                        "' is neither a number nor an '@axis' binding");
+    }
+    check(field, in, out.fixed);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    if (field.check == kNonEmpty && v.empty()) {
+      reject(field, in, "must not be empty");
+    }
+    out = v;
+  } else if constexpr (std::is_enum_v<V>) {
+    out = static_cast<V>(parse_enum(field, in));
+  } else if constexpr (std::is_same_v<V, bool>) {
+    if (field.kind == FieldKind::kEnum) {
+      out = parse_enum(field, in) != 0;
+    } else if (v == "on" || v == "true" || v == "yes" || v == "1") {
+      out = true;
+    } else if (v == "off" || v == "false" || v == "no" || v == "0") {
+      out = false;
+    } else {
+      reject(field, in, "is not a boolean (on/off/true/false)");
+    }
+  } else if constexpr (std::is_same_v<V, double>) {
+    if (!numeric::parse_double(v, out)) {
+      reject(field, in, "is not a number");
+    }
+    check(field, in, out);
+  } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+    if (!parse_exact(v, out)) {
+      reject(field, in, "is not an unsigned integer");
+    }
+  } else {
+    static_assert(std::is_same_v<V, int>, "no manifest syntax for V");
+    long long parsed = 0;
+    if (!parse_exact(v, parsed)) {
+      reject(field, in, "is not an integer");
+    }
+    // Range-checked before narrowing: a value beyond the destination must
+    // fail, not wrap into a different (valid-looking) number.
+    if (parsed < field.lo || parsed > field.hi) {
+      reject(field, in,
+             "must be >= " + std::to_string(field.lo) + " and <= " +
+                 std::to_string(field.hi));
+    }
+    out = static_cast<int>(parsed);
+  }
+}
+
+/// Appends `v` in the canonical form of the syntax parse_value reads.
+template <typename V>
+void encode_value(const ManifestField& field, std::string& out, const V& v) {
+  if constexpr (std::is_same_v<V, std::optional<Binding>>) {
+    if (v.has_value()) {
+      encode_value(field, out, *v);
+    } else {
+      out += "unset";
+    }
+  } else if constexpr (std::is_same_v<V, Binding>) {
+    out += v.bound() ? "@" + v.axis : numeric::format_double(v.fixed);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    out += v;
+  } else if constexpr (std::is_same_v<V, double>) {
+    out += numeric::format_double(v);
+  } else if constexpr (std::is_enum_v<V> || std::is_same_v<V, bool>) {
+    const int value = static_cast<int>(v);
+    if (field.kind != FieldKind::kEnum) {
+      out += value != 0 ? "on" : "off";
+    }
+    for (const EnumName& name : field.names) {
+      if (name.value == value) {
+        out += name.name;
       }
     }
-    return nullptr;
+  } else {
+    static_assert(std::is_integral_v<V>, "no manifest syntax for V");
+    out += std::to_string(v);
   }
+}
 
-  const IniEntry& require(const std::string& key) const {
-    IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      // Built by append rather than operator+ chains: GCC 12 -Wrestrict
-      // false positive (PR105329).
-      std::string message = "[";
-      message += section_ == nullptr ? std::string("?") : section_->name;
-      message += "] is missing required key '";
-      message += key;
-      message += "'";
-      fail(section_ == nullptr ? 0 : section_->line, message);
-    }
-    return *entry;
+/// The class owning a member pointer (for decltype only).
+template <typename C, typename V>
+C* owner(V C::*);
+
+/// `object.*First.*Rest...`.
+template <auto First, auto... Rest, typename T>
+auto& member(T& object) {
+  if constexpr (sizeof...(Rest) == 0) {
+    return object.*First;
+  } else {
+    return member<Rest...>(object.*First);
   }
+}
 
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const {
-    const IniEntry* entry = find(key);
-    return entry == nullptr ? fallback : entry->value;
+/// The field at `First, Rest...` of a section instance.
+template <auto First, auto... Rest>
+auto& field_at(void* object) {
+  return member<First, Rest...>(*static_cast<decltype(owner(First))>(object));
+}
+
+template <auto... Path>
+using ValueAt = std::remove_reference_t<decltype(field_at<Path...>(nullptr))>;
+
+template <auto... Path>
+void parse_field(const ManifestField& field, const FieldInput& in,
+                 void* object) {
+  parse_value(field, in, field_at<Path...>(object));
+}
+
+template <auto... Path>
+void encode_field(const ManifestField& field, std::string& out,
+                  void* object) {
+  encode_value(field, out, field_at<Path...>(object));
+}
+
+template <typename V>
+constexpr FieldKind kKindOf =
+    std::is_same_v<V, int>             ? FieldKind::kInt
+    : std::is_same_v<V, std::uint64_t> ? FieldKind::kUint64
+    : std::is_same_v<V, double>        ? FieldKind::kDouble
+    : std::is_same_v<V, bool>          ? FieldKind::kBool
+    : std::is_same_v<V, std::string>   ? FieldKind::kString
+    : std::is_enum_v<V>                ? FieldKind::kEnum
+                                       : FieldKind::kBinding;
+
+/// A table row at `Path...` inside its section's instance: the
+/// destination's type picks the kind and the parse/encode pair, and an int
+/// is range-checked to the destination. `names` make it an enum.
+template <auto... Path>
+constexpr ManifestField field(std::string_view key, std::string_view fallback,
+                              FieldCheck check = kNone,
+                              std::span<const EnumName> names = {}) {
+  return {key, names.empty() ? kKindOf<ValueAt<Path...>> : FieldKind::kEnum,
+          fallback, check, std::numeric_limits<int>::min(),
+          std::numeric_limits<int>::max(), names, &parse_field<Path...>,
+          &encode_field<Path...>};
+}
+
+constexpr ManifestField custom(
+    std::string_view key, std::string_view fallback,
+    void (*parse)(const ManifestField&, const FieldInput&, void*),
+    void (*encode)(const ManifestField&, std::string&, void*)) {
+  return {key, FieldKind::kCustom, fallback, kNone, 0, 0, {}, parse, encode};
+}
+
+constexpr ManifestField bounded(ManifestField row, long long lo,
+                                long long hi) {
+  row.lo = lo;
+  row.hi = hi;
+  return row;
+}
+
+// --- custom fields -----------------------------------------------------------
+
+void parse_policies(const ManifestField&, const FieldInput& in,
+                    void* object) {
+  auto& spec = *static_cast<SweepSpec*>(object);
+  for (const std::string& name : split_list(in.value, in.line)) {
+    const auto policy = strategies::policy_from_name(name);
+    if (!policy.has_value()) {
+      fail(in.line, "unknown policy '" + name + "'");
+    }
+    spec.policies.push_back(*policy);
   }
+}
 
-  double get_double(const std::string& key, double fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
+void parse_axis_values(const ManifestField&, const FieldInput& in,
+                       void* object) {
+  std::vector<double>& values = static_cast<Axis*>(object)->values;
+  for (const std::string& item : split_list(in.value, in.line)) {
+    if (!numeric::parse_double(item, values.emplace_back())) {
+      fail(in.line, "axis value '" + item + "' is not a number");
     }
-    double parsed = 0.0;
-    if (!numeric::parse_double(entry->value, parsed)) {
-      fail(entry->line, "'" + entry->value + "' is not a number");
-    }
-    return parsed;
   }
+}
 
-  /// Exact integer parse (from_chars, never via double: a double round
-  /// trip would silently round values above 2^53).
-  long long get_int(const std::string& key, long long fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
+void parse_axis_labels(const ManifestField&, const FieldInput& in,
+                       void* object) {
+  static_cast<Axis*>(object)->labels = split_list(in.value, in.line);
+}
+
+/// Stage N's deps must name distinct earlier stages, 0 .. N-1.
+void parse_deps(const ManifestField&, const FieldInput& in, void* object) {
+  std::vector<int>& deps = static_cast<ManifestStage*>(object)->deps;
+  const int number = static_cast<int>(in.instance) + 1;
+  for (const std::string& item : split_list(in.value, in.line)) {
+    int dep = 0;
+    if (!parse_exact(item, dep)) {
+      fail(in.line, "stage dep '" + item + "' is not an integer");
     }
-    std::string_view text = entry->value;
-    if (!text.empty() && text.front() == '+') {
-      text.remove_prefix(1);
+    if (dep < 0 || dep >= number) {
+      fail(in.line, "stage dep " + item +
+                        " must reference an earlier stage (0.." +
+                        std::to_string(number - 1) + ")");
     }
-    long long parsed = 0;
-    const auto result =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (text.empty() || result.ec != std::errc() ||
-        result.ptr != text.data() + text.size()) {
-      fail(entry->line, "'" + entry->value + "' is not an integer");
+    if (std::find(deps.begin(), deps.end(), dep) != deps.end()) {
+      fail(in.line, "duplicate stage dep " + item);
     }
-    return parsed;
+    deps.push_back(dep);
   }
+}
 
-  /// Exact unsigned parse for 64-bit seeds; rejects negatives.
-  std::uint64_t get_uint64(const std::string& key,
-                           std::uint64_t fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    std::string_view text = entry->value;
-    if (!text.empty() && text.front() == '+') {
-      text.remove_prefix(1);
-    }
-    std::uint64_t parsed = 0;
-    const auto result =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (text.empty() || result.ec != std::errc() ||
-        result.ptr != text.data() + text.size()) {
-      fail(entry->line,
-           "'" + entry->value + "' is not an unsigned integer");
-    }
-    return parsed;
+void encode_deps(const ManifestField&, std::string& out, void* object) {
+  for (const int dep : static_cast<ManifestStage*>(object)->deps) {
+    out += std::to_string(dep);
+    out += ',';
   }
+}
 
-  bool get_bool(const std::string& key, bool fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    const std::string& v = entry->value;
-    if (v == "on" || v == "true" || v == "yes" || v == "1") {
-      return true;
-    }
-    if (v == "off" || v == "false" || v == "no" || v == "0") {
-      return false;
-    }
-    fail(entry->line, "'" + v + "' is not a boolean (on/off/true/false)");
+void parse_r_min(const ManifestField&, const FieldInput& in, void* object) {
+  auto& manifest = *static_cast<Manifest*>(object);
+  if (in.value == "baseline") {
+    manifest.r_min_mode = RMinMode::kBaseline;
+  } else if (numeric::parse_double(in.value, manifest.r_min_fixed)) {
+    manifest.r_min_mode = RMinMode::kFixed;
+  } else {
+    fail(in.line, "r_min must be 'baseline' or a number, got '" +
+                      std::string(in.value) + "'");
   }
+}
 
- private:
-  IniSection* section_;
+void encode_r_min(const ManifestField&, std::string& out, void* object) {
+  const auto& manifest = *static_cast<const Manifest*>(object);
+  out += manifest.r_min_mode == RMinMode::kBaseline
+             ? "baseline"
+             : numeric::format_double(manifest.r_min_fixed);
+}
+
+void parse_plan_cache(const ManifestField&, const FieldInput& in,
+                      void* object) {
+  serve::PlanCacheConfig& cache =
+      static_cast<ManifestArrivals*>(object)->plan_cache;
+  const std::string_view value = in.value;
+  if (value == "off") {
+    cache.mode = serve::CacheMode::kOff;
+  } else if (value == "exact") {
+    cache.mode = serve::CacheMode::kExact;
+  } else if (value.starts_with("quantized:")) {
+    cache.mode = serve::CacheMode::kQuantized;
+    const std::string_view grid = value.substr(10);
+    if (!numeric::parse_double(grid, cache.grid) ||
+        !std::isfinite(cache.grid) || cache.grid <= 0.0) {
+      fail(in.line,
+           "plan_cache quantization grid must be a positive number, got '" +
+               std::string(grid) + "'");
+    }
+  } else {
+    fail(in.line, "plan_cache must be off, exact or quantized:<grid>, got '" +
+                      std::string(value) + "'");
+  }
+}
+
+void encode_plan_cache(const ManifestField&, std::string& out,
+                       void* object) {
+  const serve::PlanCacheConfig& cache =
+      static_cast<const ManifestArrivals*>(object)->plan_cache;
+  if (cache.mode == serve::CacheMode::kQuantized) {
+    out += "quantized:" + numeric::format_double(cache.grid);
+  } else {
+    out += cache.mode == serve::CacheMode::kOff ? "off" : "exact";
+  }
+}
+
+/// period_hours is stored in seconds.
+void parse_period(const ManifestField& field, const FieldInput& in,
+                  void* object) {
+  double hours = 0.0;
+  if (!numeric::parse_double(in.value, hours)) {
+    reject(field, in, "is not a number");
+  }
+  static_cast<ManifestArrivals*>(object)->spec.period = hours * 3600.0;
+}
+
+void encode_period(const ManifestField&, std::string& out, void* object) {
+  out += numeric::format_double(
+      static_cast<const ManifestArrivals*>(object)->spec.period);
+}
+
+/// The loaded times (FNV-1a over their canonical decimal forms), never the
+/// path: editing the file must invalidate the journal even when the path
+/// is unchanged.
+void encode_file(const ManifestField&, std::string& out, void* object) {
+  const std::vector<double>& times =
+      static_cast<const ManifestArrivals*>(object)->spec.times;
+  std::string canonical;
+  for (const double t : times) {
+    canonical += numeric::format_double(t);
+    canonical += ';';
+  }
+  out += std::to_string(times.size());
+  out += ':';
+  out += std::to_string(numeric::fnv1a(canonical));
+}
+
+// --- the table ---------------------------------------------------------------
+
+constexpr EnumName kClusters[] = {{"large_scale", 0}, {"testbed", 1}};
+constexpr EnumName kArrivalKinds[] = {
+    {"poisson", static_cast<int>(trace::ArrivalKind::kPoisson)},
+    {"diurnal", static_cast<int>(trace::ArrivalKind::kDiurnal)},
+    {"trace", static_cast<int>(trace::ArrivalKind::kTrace)}};
+constexpr EnumName kPlanModes[] = {{"policy", 0}, {"auto", 1}};
+
+constexpr auto kTraceConfig = &Manifest::trace;
+constexpr auto kArrivalSpec = &ManifestArrivals::spec;
+using Arrivals = ManifestArrivals;
+using Trace = trace::TraceConfig;
+using trace::ArrivalSpec;
+
+constexpr ManifestField kSweepFields[] = {
+    field<&SweepSpec::name>("name", "sweep"),
+    custom("policies", "required", parse_policies, nullptr),
+    field<&SweepSpec::replications>("replications", "1"),
+    field<&SweepSpec::seed>("seed", "1"),
 };
 
-IniSection* find_section(std::vector<IniSection>& sections,
-                         const std::string& name) {
-  for (IniSection& section : sections) {
-    if (section.name == name) {
-      return &section;
+constexpr ManifestField kAxisFields[] = {
+    custom("values", "required", parse_axis_values, nullptr),
+    custom("labels", "", parse_axis_labels, nullptr),
+};
+
+constexpr ManifestField kAdaptiveFields[] = {
+    field<&AdaptiveSpec::metric>("metric", "pocd"),
+    field<&AdaptiveSpec::target_ci95>("target_ci95", "0"),
+    field<&AdaptiveSpec::batch>("batch", "1"),
+    field<&AdaptiveSpec::max_replications>("max_replications", "required"),
+};
+
+constexpr ManifestField kTraceFields[] = {
+    field<kTraceConfig, &Trace::num_jobs>("num_jobs", "2700"),
+    field<kTraceConfig, &Trace::duration_hours>("duration_hours", "30"),
+    field<kTraceConfig, &Trace::mean_tasks>("mean_tasks", "370"),
+    field<kTraceConfig, &Trace::tasks_log_sigma>("tasks_log_sigma", "1"),
+    field<kTraceConfig, &Trace::min_tasks>("min_tasks", "1"),
+    field<kTraceConfig, &Trace::max_tasks>("max_tasks", "5000"),
+    field<kTraceConfig, &Trace::t_min_lo>("t_min_lo", "20"),
+    field<kTraceConfig, &Trace::t_min_hi>("t_min_hi", "80"),
+    field<kTraceConfig, &Trace::beta_lo>("beta_lo", "1.2"),
+    field<kTraceConfig, &Trace::beta_hi>("beta_hi", "1.8"),
+    field<kTraceConfig, &Trace::deadline_factor_lo>("deadline_factor_lo", "2"),
+    field<kTraceConfig, &Trace::deadline_factor_hi>("deadline_factor_hi", "2"),
+    field<kTraceConfig, &Trace::jvm_mean>("jvm_mean", "2"),
+    field<kTraceConfig, &Trace::jvm_jitter>("jvm_jitter", "1"),
+    field<kTraceConfig, &Trace::seed>("seed", "42"),
+    field<&Manifest::trace_beta>("beta", ""),
+    field<&Manifest::trace_deadline_factor>("deadline_factor", ""),
+};
+
+constexpr ManifestField kStageFields[] = {
+    field<&ManifestStage::tasks>("tasks", "required", kAtLeastOne),
+    field<&ManifestStage::t_min>("t_min", "required", kPositive),
+    field<&ManifestStage::beta>("beta", "required", kAboveOne),
+    custom("deps", "", parse_deps, encode_deps),
+};
+
+constexpr ManifestField kPlannerFields[] = {
+    field<&Manifest::planner_theta>("theta", "1e-4"),
+    field<&Manifest::planner_tau_est_factor>("tau_est_factor", ""),
+    field<&Manifest::planner_tau_kill_factor>("tau_kill_factor", ""),
+};
+
+constexpr ManifestField kExperimentFields[] = {
+    field<&Manifest::cluster_testbed>("cluster", "large_scale", kNone,
+                                      kClusters),
+    field<&Manifest::report_utility>("utility", "off"),
+    custom("r_min", "baseline", parse_r_min, encode_r_min),
+    field<&Manifest::r_min_offset>("r_min_offset", "0"),
+};
+
+constexpr ManifestField kArrivalsFields[] = {
+    field<kArrivalSpec, &ArrivalSpec::kind>("kind", "poisson", kNone,
+                                            kArrivalKinds),
+    field<&Arrivals::rate>("rate", "", kPositive),
+    custom("file", "", parse_field<&Arrivals::file>, encode_file),
+    field<kArrivalSpec, &ArrivalSpec::amplitude>("amplitude", "0.5"),
+    custom("period_hours", "24", parse_period, encode_period),
+    field<&Arrivals::duration_hours>("duration_hours", "1"),
+    field<&Arrivals::warm_up_hours>("warm_up_hours", "0"),
+    field<&Arrivals::drain>("drain", "on"),
+    field<&Arrivals::auto_strategy>("plan", "policy", kNone, kPlanModes),
+    custom("plan_cache", "off", parse_plan_cache, encode_plan_cache),
+    field<&Arrivals::admission_enabled>("admission", "on"),
+    field<&Arrivals::degrade_headroom>("degrade_headroom", "1", kPositive),
+    field<&Arrivals::reject_queue_factor>("reject_queue_factor", "4",
+                                          kPositive),
+    field<&Arrivals::nodes>("nodes", ""),
+    bounded(field<&Arrivals::containers>("containers", "8"), 1, 1 << 20),
+    field<&Arrivals::slow_fraction>("slow_fraction", "", kUnitInterval),
+    field<&Arrivals::slow_speed>("slow_speed", "0.5", kPositive),
+};
+
+constexpr ManifestField kOutputFields[] = {
+    field<&ManifestOutputs::csv>("csv", ""),
+    field<&ManifestOutputs::json>("json", ""),
+    field<&ManifestOutputs::journal>("journal", ""),
+    field<&ManifestOutputs::table>("table", "on"),
+};
+
+constexpr ManifestField kShardFields[] = {
+    bounded(field<&ManifestShard::count>("count", "required"), 1,
+            std::numeric_limits<int>::max()),
+    field<&ManifestShard::dir>("dir", ".", kNonEmpty),
+};
+
+/// The i-th instance of the section stored at `manifest.*Path...`: the
+/// manifest itself, a struct, a vector's elements or an optional's value.
+template <auto... Path>
+void* instance(Manifest& manifest, std::size_t i) {
+  if constexpr (sizeof...(Path) == 0) {
+    return i == 0 ? &manifest : nullptr;
+  } else {
+    auto& at = member<Path...>(manifest);
+    if constexpr (requires { at.size(); }) {
+      return i < at.size() ? &at[i] : nullptr;
+    } else if constexpr (requires { at.has_value(); }) {
+      return i == 0 && at.has_value() ? &*at : nullptr;
+    } else {
+      return i == 0 ? &at : nullptr;
     }
   }
-  return nullptr;
 }
 
-/// "@axis" -> binding to that axis; anything else must be a number.
-Binding parse_binding(const IniEntry& entry, const SweepSpec& spec) {
-  Binding binding;
-  if (!entry.value.empty() && entry.value.front() == '@') {
-    binding.axis = entry.value.substr(1);
-    const bool known =
-        std::any_of(spec.axes.begin(), spec.axes.end(),
-                    [&](const Axis& a) { return a.name == binding.axis; });
-    if (!known) {
-      fail(entry.line, "'" + entry.value + "' binds to an axis that does "
-                       "not exist");
+/// In parse order, whatever the file's order: [axis.*] precede every
+/// "@axis" binding, and [experiment] precedes the [arrivals] r_min check.
+using enum SaltClass;
+constexpr ManifestSection kSections[] = {
+    {"sweep", kFingerprint, instance<&Manifest::spec>, kSweepFields},
+    {"axis.<name>", kFingerprint, instance<&Manifest::spec, &SweepSpec::axes>,
+     kAxisFields},
+    {"adaptive", kFingerprint,
+     instance<&Manifest::spec, &SweepSpec::adaptive>, kAdaptiveFields},
+    {"trace", kSalted, instance<>, kTraceFields},
+    {"stage.<N>", kSalted, instance<&Manifest::stages>, kStageFields},
+    {"planner", kSalted, instance<>, kPlannerFields},
+    {"experiment", kSalted, instance<>, kExperimentFields},
+    {"arrivals", kSalted, instance<&Manifest::arrivals>, kArrivalsFields},
+    {"output", kNever, instance<&Manifest::outputs>, kOutputFields},
+    {"shard", kNever, instance<&Manifest::shard>, kShardFields},
+};
+
+// read_fields tracks the keys it saw in one 64-bit mask, and the salt
+// encodes every field of a salted section.
+static_assert(std::ranges::all_of(kSections, [](const ManifestSection& s) {
+  return s.fields.size() <= 64 &&
+         (s.salt != kSalted ||
+          std::ranges::all_of(s.fields, [](const ManifestField& f) {
+            return f.encode != nullptr;
+          }));
+}));
+
+// --- parsing -----------------------------------------------------------------
+
+[[noreturn]] void missing(const IniSection& section, std::string_view key) {
+  fail(section.line, "[" + std::string(section.name) +
+                         "] is missing required key '" + std::string(key) +
+                         "'");
+}
+
+/// Parses every entry of `section` into the table section's `instance`, in
+/// one pass; rejects unknown keys and missing required ones.
+void read_fields(const ManifestSection& table, const IniSection& section,
+                 std::size_t instance, Manifest& manifest) {
+  void* object = table.object(manifest, instance);
+  std::uint64_t seen = 0;
+  for (const IniEntry& entry : section.entries) {
+    const auto it = std::ranges::find(table.fields, entry.key,
+                                      &ManifestField::key);
+    if (it == table.fields.end()) {
+      fail(entry.line, "unknown key '" + std::string(entry.key) + "' in [" +
+                           std::string(section.name) + "]");
     }
-    return binding;
+    seen |= std::uint64_t{1} << (it - table.fields.begin());
+    const FieldInput in{.section = section.name,
+                        .instance = instance,
+                        .value = entry.value,
+                        .line = entry.line,
+                        .axes = &manifest.spec.axes};
+    it->parse(*it, in, object);
   }
-  if (!numeric::parse_double(entry.value, binding.fixed)) {
-    fail(entry.line,
-         "'" + entry.value + "' is neither a number nor an '@axis' binding");
+  for (std::size_t i = 0; i < table.fields.size(); ++i) {
+    if (table.fields[i].required() && (seen >> i & 1) == 0) {
+      missing(section, table.fields[i].key);
+    }
   }
-  return binding;
 }
 
-std::optional<Binding> optional_binding(const SectionReader& reader,
-                                        const std::string& key,
-                                        const SweepSpec& spec) {
-  const IniEntry* entry = reader.find(key);
-  if (entry == nullptr) {
-    return std::nullopt;
+/// Creates the instance a file section fills and returns its index:
+/// repeated sections append one, [arrivals] switches the sweep to
+/// open-system cells.
+std::size_t open_section(Manifest& manifest, const ManifestSection& table,
+                         const IniSection& section) {
+  const std::string_view suffix = section.name.substr(table.prefix().size());
+  if (table.heading == "axis.<name>") {
+    if (suffix.empty()) {
+      fail(section.line, "axis section needs a name: [axis.<name>]");
+    }
+    manifest.spec.axes.emplace_back().name = suffix;
+    return manifest.spec.axes.size() - 1;
   }
-  return parse_binding(*entry, spec);
+  if (table.heading == "stage.<N>") {
+    // N runs 1, 2, ... without gaps; stage 0 is the sampled root.
+    int number = 0;
+    if (!parse_exact(suffix, number)) {
+      fail(section.line, "stage section needs a number: [stage.<N>]");
+    }
+    const int next = static_cast<int>(manifest.stages.size()) + 1;
+    if (number != next) {
+      fail(section.line, "stage sections must be contiguous from 1: "
+                         "expected [stage." + std::to_string(next) +
+                             "], got [stage." + std::string(suffix) + "]");
+    }
+    manifest.stages.emplace_back();
+    return manifest.stages.size() - 1;
+  }
+  if (table.heading == "arrivals") {
+    manifest.arrivals.emplace();
+  }
+  return 0;
 }
+
+void check_axis(const Manifest& manifest, const IniSection& section) {
+  const Axis& axis = manifest.spec.axes.back();
+  if (!axis.labels.empty() && axis.labels.size() != axis.values.size()) {
+    fail(entry_of(section, "labels")->line,
+         "axis has " + std::to_string(axis.values.size()) + " values but " +
+             std::to_string(axis.labels.size()) + " labels");
+  }
+}
+
+void check_arrivals(Manifest& manifest, const IniSection& section) {
+  ManifestArrivals& a = *manifest.arrivals;
+  // Trace replay takes its times from `file`; the other kinds draw at
+  // `rate`. Each key is required by its kind and rejected by the others.
+  const bool replay = a.spec.kind == trace::ArrivalKind::kTrace;
+  if (entry_of(section, replay ? "file" : "rate") == nullptr) {
+    missing(section, replay ? "file" : "rate");
+  }
+  if (const IniEntry* stray = entry_of(section, replay ? "rate" : "file")) {
+    fail(stray->line, "key '" + std::string(stray->key) +
+                          "' does not apply to arrivals kind = " +
+                          (replay ? "trace" : "poisson/diurnal"));
+  }
+  if (replay) {
+    a.spec.times = trace::load_arrival_times(a.file);
+  } else {
+    a.spec.rate = a.rate.fixed;
+  }
+  if (!(std::isfinite(a.duration_hours) && a.duration_hours > 0.0 &&
+        std::isfinite(a.warm_up_hours) && a.warm_up_hours >= 0.0 &&
+        a.warm_up_hours < a.duration_hours)) {
+    fail(section.line, "[arrivals] needs duration_hours > 0 and "
+                       "warm_up_hours in [0, duration_hours)");
+  }
+  if (a.slow_fraction.has_value() && !a.nodes.has_value()) {
+    fail(section.line,
+         "slow_fraction needs an explicit cluster: set nodes too");
+  }
+  // Validate the non-rate fields now so a bad manifest fails at parse
+  // time; a bound rate is validated per cell at run time.
+  trace::ArrivalSpec probe = a.spec;
+  if (!replay && a.rate.bound()) {
+    probe.rate = 1.0;  // placeholder for the per-cell axis value
+  }
+  probe.validate();
+  if (manifest.report_utility && manifest.r_min_mode == RMinMode::kBaseline) {
+    fail(section.line,
+         "[arrivals] sweeps need a numeric r_min: the baseline r_min "
+         "is a property of a pre-generated closed-system trace");
+  }
+}
+
+// --- cell construction -------------------------------------------------------
 
 double mean_baseline_pocd(const std::vector<trace::TracedJob>& jobs) {
   double sum = 0.0;
@@ -345,14 +831,20 @@ double mean_baseline_pocd(const std::vector<trace::TracedJob>& jobs) {
   return sum / static_cast<double>(jobs.size());
 }
 
-/// Resolves the manifest's [stage.N] templates against one cell's axis
-/// coordinates into concrete StageSpecs for TraceConfig::extra_stages.
-std::vector<mapreduce::StageSpec> resolve_stages(
-    const std::vector<ManifestStage>& stages, const SweepPoint& point) {
-  std::vector<mapreduce::StageSpec> resolved;
-  resolved.reserve(stages.size());
-  for (const ManifestStage& stage : stages) {
-    mapreduce::StageSpec st;
+/// The cell's job-shape template: [trace] with its bindings and the
+/// [stage.N] templates resolved at the cell's axis coordinates.
+trace::TraceConfig cell_trace(const Manifest& m, const SweepPoint& point) {
+  trace::TraceConfig config = m.trace;
+  if (m.trace_beta.has_value()) {
+    config.beta_lo = config.beta_hi = m.trace_beta->resolve(point);
+  }
+  if (m.trace_deadline_factor.has_value()) {
+    config.deadline_factor_lo = config.deadline_factor_hi =
+        m.trace_deadline_factor->resolve(point);
+  }
+  config.extra_stages.reserve(m.stages.size());
+  for (const ManifestStage& stage : m.stages) {
+    mapreduce::StageSpec& st = config.extra_stages.emplace_back();
     const long long tasks = std::llround(stage.tasks.resolve(point));
     CHRONOS_EXPECTS(tasks >= 1 && tasks <= (1 << 20),
                     "stage tasks must resolve to [1, 2^20]");
@@ -360,396 +852,56 @@ std::vector<mapreduce::StageSpec> resolve_stages(
     st.t_min = stage.t_min.resolve(point);
     st.beta = stage.beta.resolve(point);
     st.deps = stage.deps;
-    resolved.push_back(std::move(st));
   }
-  return resolved;
+  return config;
+}
+
+trace::PlannerConfig cell_planner(const Manifest& m,
+                                  const SweepPoint& point) {
+  trace::PlannerConfig planner;
+  planner.theta = m.planner_theta.resolve(point);
+  if (m.planner_tau_est_factor.has_value()) {
+    planner.tau_est_factor = m.planner_tau_est_factor->resolve(point);
+  }
+  if (m.planner_tau_kill_factor.has_value()) {
+    planner.tau_kill_factor = m.planner_tau_kill_factor->resolve(point);
+  }
+  return planner;
 }
 
 }  // namespace
 
+std::span<const ManifestSection> manifest_sections() { return kSections; }
+
 Manifest parse_manifest(const std::string& text) {
   std::vector<IniSection> sections = parse_ini(text);
-  Manifest manifest;
-
-  // [sweep] and the [axis.*] sections fix the grid; bindings in later
-  // sections are validated against the axis names collected here.
-  IniSection* sweep_section = find_section(sections, "sweep");
-  if (sweep_section == nullptr) {
+  if (std::ranges::find(sections, "sweep", &IniSection::name) ==
+      sections.end()) {
     fail(1, "missing required [sweep] section");
   }
-  {
-    const SectionReader sweep(sweep_section);
-    manifest.spec.name = sweep.get_string("name", "sweep");
-    const IniEntry& policies = sweep.require("policies");
-    for (const std::string& name : split_list(policies.value, policies.line)) {
-      const auto policy = strategies::policy_from_name(name);
-      if (!policy.has_value()) {
-        fail(policies.line, "unknown policy '" + name + "'");
-      }
-      manifest.spec.policies.push_back(*policy);
-    }
-    manifest.spec.replications =
-        static_cast<int>(sweep.get_int("replications", 1));
-    manifest.spec.seed = sweep.get_uint64("seed", 1);
-  }
-
-  for (IniSection& section : sections) {
-    if (section.name.rfind("axis.", 0) != 0) {
-      continue;
-    }
-    const SectionReader reader(&section);
-    Axis axis;
-    axis.name = section.name.substr(5);
-    if (axis.name.empty()) {
-      fail(section.line, "axis section needs a name: [axis.<name>]");
-    }
-    const IniEntry& values = reader.require("values");
-    for (const std::string& item : split_list(values.value, values.line)) {
-      double parsed = 0.0;
-      if (!numeric::parse_double(item, parsed)) {
-        fail(values.line, "axis value '" + item + "' is not a number");
-      }
-      axis.values.push_back(parsed);
-    }
-    if (const IniEntry* labels = reader.find("labels")) {
-      axis.labels = split_list(labels->value, labels->line);
-      if (axis.labels.size() != axis.values.size()) {
-        fail(labels->line, "axis has " + std::to_string(axis.values.size()) +
-                               " values but " +
-                               std::to_string(axis.labels.size()) +
-                               " labels");
-      }
-    }
-    manifest.spec.axes.push_back(std::move(axis));
-  }
-
-  {
-    const SectionReader adaptive(find_section(sections, "adaptive"));
-    if (adaptive.present()) {
-      manifest.spec.adaptive.metric =
-          adaptive.get_string("metric", "pocd");
-      manifest.spec.adaptive.target_ci95 =
-          adaptive.get_double("target_ci95", 0.0);
-      manifest.spec.adaptive.batch =
-          static_cast<int>(adaptive.get_int("batch", 1));
-      adaptive.require("max_replications");
-      manifest.spec.adaptive.max_replications =
-          static_cast<int>(adaptive.get_int("max_replications", 0));
-    }
-  }
-
-  {
-    const SectionReader reader(find_section(sections, "trace"));
-    trace::TraceConfig& config = manifest.trace;
-    config.num_jobs =
-        static_cast<int>(reader.get_int("num_jobs", config.num_jobs));
-    config.duration_hours =
-        reader.get_double("duration_hours", config.duration_hours);
-    config.mean_tasks = reader.get_double("mean_tasks", config.mean_tasks);
-    config.tasks_log_sigma =
-        reader.get_double("tasks_log_sigma", config.tasks_log_sigma);
-    config.min_tasks =
-        static_cast<int>(reader.get_int("min_tasks", config.min_tasks));
-    config.max_tasks =
-        static_cast<int>(reader.get_int("max_tasks", config.max_tasks));
-    config.t_min_lo = reader.get_double("t_min_lo", config.t_min_lo);
-    config.t_min_hi = reader.get_double("t_min_hi", config.t_min_hi);
-    config.beta_lo = reader.get_double("beta_lo", config.beta_lo);
-    config.beta_hi = reader.get_double("beta_hi", config.beta_hi);
-    config.deadline_factor_lo =
-        reader.get_double("deadline_factor_lo", config.deadline_factor_lo);
-    config.deadline_factor_hi =
-        reader.get_double("deadline_factor_hi", config.deadline_factor_hi);
-    config.jvm_mean = reader.get_double("jvm_mean", config.jvm_mean);
-    config.jvm_jitter = reader.get_double("jvm_jitter", config.jvm_jitter);
-    config.seed = reader.get_uint64("seed", config.seed);
-    manifest.trace_beta = optional_binding(reader, "beta", manifest.spec);
-    manifest.trace_deadline_factor =
-        optional_binding(reader, "deadline_factor", manifest.spec);
-  }
-
-  // [stage.N] templates: N must run 1, 2, ... without gaps (stage 0 is the
-  // sampled root stage and has no section).
-  {
-    int next = 1;
+  Manifest manifest;
+  for (const ManifestSection& spec : kSections) {
     for (IniSection& section : sections) {
-      if (section.name.rfind("stage.", 0) != 0) {
+      if (spec.repeated() ? !section.name.starts_with(spec.prefix())
+                          : section.name != spec.heading) {
         continue;
       }
-      const std::string suffix = section.name.substr(6);
-      int number = 0;
-      const auto result = std::from_chars(
-          suffix.data(), suffix.data() + suffix.size(), number);
-      if (suffix.empty() || result.ec != std::errc() ||
-          result.ptr != suffix.data() + suffix.size()) {
-        fail(section.line, "stage section needs a number: [stage.<N>]");
-      }
-      if (number != next) {
-        fail(section.line, "stage sections must be contiguous from 1: "
-                           "expected [stage." + std::to_string(next) +
-                           "], got [stage." + suffix + "]");
-      }
-      const SectionReader reader(&section);
-      ManifestStage stage;
-      stage.tasks = parse_binding(reader.require("tasks"), manifest.spec);
-      if (!stage.tasks.bound() &&
-          !(std::isfinite(stage.tasks.fixed) && stage.tasks.fixed >= 1.0)) {
-        fail(section.line, "stage tasks must be >= 1");
-      }
-      stage.t_min = parse_binding(reader.require("t_min"), manifest.spec);
-      if (!stage.t_min.bound() &&
-          !(std::isfinite(stage.t_min.fixed) && stage.t_min.fixed > 0.0)) {
-        fail(section.line, "stage t_min must be positive and finite");
-      }
-      stage.beta = parse_binding(reader.require("beta"), manifest.spec);
-      if (!stage.beta.bound() &&
-          !(std::isfinite(stage.beta.fixed) && stage.beta.fixed > 1.0)) {
-        fail(section.line, "stage beta must exceed 1 (finite mean)");
-      }
-      if (const IniEntry* deps = reader.find("deps")) {
-        for (const std::string& item : split_list(deps->value, deps->line)) {
-          int dep = 0;
-          const auto parsed = std::from_chars(
-              item.data(), item.data() + item.size(), dep);
-          if (item.empty() || parsed.ec != std::errc() ||
-              parsed.ptr != item.data() + item.size()) {
-            fail(deps->line, "stage dep '" + item + "' is not an integer");
-          }
-          if (dep < 0 || dep >= number) {
-            fail(deps->line, "stage dep " + item + " must reference an "
-                             "earlier stage (0.." +
-                             std::to_string(number - 1) + ")");
-          }
-          if (std::find(stage.deps.begin(), stage.deps.end(), dep) !=
-              stage.deps.end()) {
-            fail(deps->line, "duplicate stage dep " + item);
-          }
-          stage.deps.push_back(dep);
-        }
-      }
-      manifest.stages.push_back(std::move(stage));
-      ++next;
-    }
-  }
-
-  {
-    const SectionReader reader(find_section(sections, "planner"));
-    if (const auto theta = optional_binding(reader, "theta", manifest.spec)) {
-      manifest.planner_theta = *theta;
-    }
-    manifest.planner_tau_est_factor =
-        optional_binding(reader, "tau_est_factor", manifest.spec);
-    manifest.planner_tau_kill_factor =
-        optional_binding(reader, "tau_kill_factor", manifest.spec);
-  }
-
-  {
-    const SectionReader reader(find_section(sections, "experiment"));
-    const std::string cluster =
-        reader.get_string("cluster", "large_scale");
-    if (cluster == "testbed") {
-      manifest.cluster_testbed = true;
-    } else if (cluster != "large_scale") {
-      const IniEntry* entry = reader.find("cluster");
-      fail(entry != nullptr ? entry->line : 0,
-           "cluster must be 'large_scale' or 'testbed', got '" + cluster +
-               "'");
-    }
-    manifest.report_utility = reader.get_bool("utility", false);
-    if (const IniEntry* r_min = reader.find("r_min")) {
-      if (r_min->value == "baseline") {
-        manifest.r_min_mode = RMinMode::kBaseline;
-      } else if (numeric::parse_double(r_min->value,
-                                       manifest.r_min_fixed)) {
-        manifest.r_min_mode = RMinMode::kFixed;
-      } else {
-        fail(r_min->line, "r_min must be 'baseline' or a number, got '" +
-                              r_min->value + "'");
-      }
-    }
-    manifest.r_min_offset = reader.get_double("r_min_offset", 0.0);
-  }
-
-  {
-    IniSection* section = find_section(sections, "arrivals");
-    const SectionReader reader(section);
-    if (reader.present()) {
-      ManifestArrivals arrivals;
-      const IniEntry* kind = reader.find("kind");
-      const std::string kind_name =
-          kind == nullptr ? "poisson" : kind->value;
-      if (kind_name == "poisson") {
-        arrivals.spec.kind = trace::ArrivalKind::kPoisson;
-      } else if (kind_name == "diurnal") {
-        arrivals.spec.kind = trace::ArrivalKind::kDiurnal;
-      } else if (kind_name == "trace") {
-        arrivals.spec.kind = trace::ArrivalKind::kTrace;
-      } else {
-        fail(kind->line, "arrivals kind must be poisson, diurnal or trace, "
-                         "got '" + kind_name + "'");
-      }
-      if (arrivals.spec.kind == trace::ArrivalKind::kTrace) {
-        const IniEntry& file = reader.require("file");
-        arrivals.file = file.value;
-        arrivals.spec.times = trace::load_arrival_times(file.value);
-      } else {
-        const IniEntry& rate = reader.require("rate");
-        arrivals.rate = parse_binding(rate, manifest.spec);
-        if (!arrivals.rate.bound() &&
-            !(std::isfinite(arrivals.rate.fixed) &&
-              arrivals.rate.fixed > 0.0)) {
-          fail(rate.line, "arrival rate must be positive and finite");
-        }
-        arrivals.spec.rate = arrivals.rate.fixed;
-      }
-      arrivals.spec.amplitude =
-          reader.get_double("amplitude", arrivals.spec.amplitude);
-      arrivals.spec.period =
-          reader.get_double("period_hours", arrivals.spec.period / 3600.0) *
-          3600.0;
-      arrivals.duration_hours =
-          reader.get_double("duration_hours", arrivals.duration_hours);
-      arrivals.warm_up_hours =
-          reader.get_double("warm_up_hours", arrivals.warm_up_hours);
-      if (!(std::isfinite(arrivals.duration_hours) &&
-            arrivals.duration_hours > 0.0 &&
-            std::isfinite(arrivals.warm_up_hours) &&
-            arrivals.warm_up_hours >= 0.0 &&
-            arrivals.warm_up_hours < arrivals.duration_hours)) {
-        fail(section->line, "[arrivals] needs duration_hours > 0 and "
-                            "warm_up_hours in [0, duration_hours)");
-      }
-      arrivals.drain = reader.get_bool("drain", true);
-      const IniEntry* plan = reader.find("plan");
-      const std::string plan_name = plan == nullptr ? "policy" : plan->value;
-      if (plan_name == "auto") {
-        arrivals.auto_strategy = true;
-      } else if (plan_name != "policy") {
-        fail(plan->line,
-             "plan must be 'policy' or 'auto', got '" + plan_name + "'");
-      }
-      const IniEntry* plan_cache = reader.find("plan_cache");
-      if (plan_cache != nullptr) {
-        const std::string& value = plan_cache->value;
-        if (value == "off") {
-          arrivals.plan_cache.mode = serve::CacheMode::kOff;
-        } else if (value == "exact") {
-          arrivals.plan_cache.mode = serve::CacheMode::kExact;
-        } else if (value.rfind("quantized:", 0) == 0) {
-          arrivals.plan_cache.mode = serve::CacheMode::kQuantized;
-          double grid = 0.0;
-          if (!numeric::parse_double(value.substr(10), grid) ||
-              !std::isfinite(grid) || grid <= 0.0) {
-            fail(plan_cache->line,
-                 "plan_cache quantization grid must be a positive number, "
-                 "got '" + value.substr(10) + "'");
-          }
-          arrivals.plan_cache.grid = grid;
-        } else {
-          fail(plan_cache->line,
-               "plan_cache must be off, exact or quantized:<grid>, got '" +
-                   value + "'");
-        }
-      }
-      arrivals.admission_enabled = reader.get_bool("admission", true);
-      arrivals.degrade_headroom =
-          reader.get_double("degrade_headroom", arrivals.degrade_headroom);
-      arrivals.reject_queue_factor = reader.get_double(
-          "reject_queue_factor", arrivals.reject_queue_factor);
-      if (!(std::isfinite(arrivals.degrade_headroom) &&
-            arrivals.degrade_headroom > 0.0 &&
-            std::isfinite(arrivals.reject_queue_factor) &&
-            arrivals.reject_queue_factor > 0.0)) {
-        fail(section->line, "[arrivals] admission factors must be positive "
-                            "and finite");
-      }
-      arrivals.nodes = optional_binding(reader, "nodes", manifest.spec);
-      const long long containers = reader.get_int("containers", 8);
-      if (containers < 1 || containers > 1 << 20) {
-        fail(section->line, "containers must lie in [1, 2^20]");
-      }
-      arrivals.containers = static_cast<int>(containers);
-      arrivals.slow_fraction =
-          optional_binding(reader, "slow_fraction", manifest.spec);
-      if (arrivals.slow_fraction.has_value()) {
-        if (!arrivals.nodes.has_value()) {
-          fail(section->line,
-               "slow_fraction needs an explicit cluster: set nodes too");
-        }
-        if (!arrivals.slow_fraction->bound() &&
-            !(std::isfinite(arrivals.slow_fraction->fixed) &&
-              arrivals.slow_fraction->fixed >= 0.0 &&
-              arrivals.slow_fraction->fixed <= 1.0)) {
-          fail(section->line, "slow_fraction must lie in [0, 1]");
-        }
-      }
-      arrivals.slow_speed =
-          reader.get_double("slow_speed", arrivals.slow_speed);
-      if (!(std::isfinite(arrivals.slow_speed) &&
-            arrivals.slow_speed > 0.0)) {
-        fail(section->line, "slow_speed must be positive and finite");
-      }
-      // Validate the non-rate fields now so a bad manifest fails at parse
-      // time; a bound rate is validated per cell at run time.
-      {
-        trace::ArrivalSpec probe = arrivals.spec;
-        if (probe.kind != trace::ArrivalKind::kTrace &&
-            arrivals.rate.bound()) {
-          probe.rate = 1.0;  // placeholder for the per-cell axis value
-        }
-        probe.validate();
-      }
-      manifest.arrivals = std::move(arrivals);
-      if (manifest.report_utility &&
-          manifest.r_min_mode == RMinMode::kBaseline) {
-        fail(section->line,
-             "[arrivals] sweeps need a numeric r_min: the baseline r_min "
-             "is a property of a pre-generated closed-system trace");
+      section.known = true;
+      read_fields(spec, section, open_section(manifest, spec, section),
+                  manifest);
+      if (spec.heading == "axis.<name>") {
+        check_axis(manifest, section);
+      } else if (spec.heading == "arrivals") {
+        check_arrivals(manifest, section);
       }
     }
   }
-
-  {
-    const SectionReader reader(find_section(sections, "output"));
-    manifest.outputs.csv = reader.get_string("csv", "");
-    manifest.outputs.json = reader.get_string("json", "");
-    manifest.outputs.journal = reader.get_string("journal", "");
-    manifest.outputs.table = reader.get_bool("table", true);
-  }
-
-  {
-    const SectionReader reader(find_section(sections, "shard"));
-    if (reader.present()) {
-      const IniEntry& count = reader.require("count");
-      // Range-checked before narrowing: a count beyond int must fail, not
-      // silently wrap into a different (valid-looking) shard layout.
-      const long long parsed = reader.get_int("count", 0);
-      if (parsed < 1 || parsed > std::numeric_limits<int>::max()) {
-        fail(count.line, "shard count must be >= 1, got '" + count.value +
-                             "'");
-      }
-      manifest.shard.count = static_cast<int>(parsed);
-      manifest.shard.dir = reader.get_string("dir", ".");
-      if (manifest.shard.dir.empty()) {
-        fail(reader.find("dir")->line, "shard dir must not be empty");
-      }
-    }
-  }
-
-  // Reject anything the readers above did not claim: a typoed key or
-  // section must not be silently ignored.
   for (const IniSection& section : sections) {
     if (!section.known) {
-      fail(section.line, "unknown section [" + section.name + "]");
-    }
-    for (const auto& [key, entry] : section.entries) {
-      if (!entry.used) {
-        fail(entry.line,
-             "unknown key '" + key + "' in [" + section.name + "]");
-      }
+      fail(section.line,
+           "unknown section [" + std::string(section.name) + "]");
     }
   }
-
   manifest.spec.validate();
   manifest.trace.validate();
   return manifest;
@@ -769,156 +921,24 @@ Manifest load_manifest(const std::string& path) {
 }
 
 std::string manifest_journal_salt(const Manifest& manifest) {
-  std::string salt = "trace=";
-  salt += std::to_string(manifest.trace.num_jobs);
-  for (const double v :
-       {manifest.trace.duration_hours, manifest.trace.mean_tasks,
-        manifest.trace.tasks_log_sigma, manifest.trace.t_min_lo,
-        manifest.trace.t_min_hi, manifest.trace.beta_lo,
-        manifest.trace.beta_hi, manifest.trace.deadline_factor_lo,
-        manifest.trace.deadline_factor_hi, manifest.trace.jvm_mean,
-        manifest.trace.jvm_jitter}) {
-    salt += ',';
-    salt += numeric::format_double(v);
-  }
-  salt += ',';
-  salt += std::to_string(manifest.trace.min_tasks);
-  salt += ',';
-  salt += std::to_string(manifest.trace.max_tasks);
-  salt += ',';
-  salt += std::to_string(manifest.trace.seed);
-  const auto append_binding = [&salt](const char* name,
-                                      const std::optional<Binding>& binding) {
-    salt += ';';
-    salt += name;
-    salt += '=';
-    if (!binding.has_value()) {
-      salt += "unset";
-    } else if (binding->bound()) {
-      salt += '@';
-      salt += binding->axis;
-    } else {
-      salt += numeric::format_double(binding->fixed);
+  // The section accessors take a mutable Manifest; encoding only reads.
+  Manifest& m = const_cast<Manifest&>(manifest);
+  std::string salt;
+  salt.reserve(1024);
+  for (const ManifestSection& section : kSections) {
+    if (section.salt != SaltClass::kSalted) {
+      continue;
     }
-  };
-  append_binding("beta", manifest.trace_beta);
-  append_binding("deadline_factor", manifest.trace_deadline_factor);
-  // Stage templates enter the fingerprint only when present: single-stage
-  // manifests keep their historical salt (and thus their journals).
-  const auto encode_binding = [](const Binding& binding) {
-    return binding.bound() ? "@" + binding.axis
-                           : numeric::format_double(binding.fixed);
-  };
-  for (std::size_t i = 0; i < manifest.stages.size(); ++i) {
-    const ManifestStage& stage = manifest.stages[i];
-    salt += ";stage";
-    salt += std::to_string(i + 1);
-    salt += '=';
-    salt += encode_binding(stage.tasks);
-    salt += ',';
-    salt += encode_binding(stage.t_min);
-    salt += ',';
-    salt += encode_binding(stage.beta);
-    salt += ",deps:";
-    for (const int dep : stage.deps) {
-      salt += std::to_string(dep);
-      salt += '.';
-    }
-  }
-  append_binding("theta", std::optional<Binding>(manifest.planner_theta));
-  append_binding("tau_est_factor", manifest.planner_tau_est_factor);
-  append_binding("tau_kill_factor", manifest.planner_tau_kill_factor);
-  salt += ";experiment=";
-  salt += manifest.cluster_testbed ? "testbed" : "large_scale";
-  salt += manifest.report_utility ? ",utility" : ",no-utility";
-  salt += ',';
-  salt += manifest.r_min_mode == RMinMode::kBaseline
-              ? "baseline"
-              : numeric::format_double(manifest.r_min_fixed);
-  salt += ',';
-  salt += numeric::format_double(manifest.r_min_offset);
-  if (manifest.arrivals.has_value()) {
-    const ManifestArrivals& a = *manifest.arrivals;
-    salt += ";arrivals=";
-    switch (a.spec.kind) {
-      case trace::ArrivalKind::kPoisson:
-        salt += "poisson";
-        break;
-      case trace::ArrivalKind::kDiurnal:
-        salt += "diurnal";
-        break;
-      case trace::ArrivalKind::kTrace:
-        salt += "trace";
-        break;
-    }
-    salt += ",rate=";
-    if (a.rate.bound()) {
-      salt += '@';
-      salt += a.rate.axis;
-    } else {
-      salt += numeric::format_double(a.rate.fixed);
-    }
-    for (const double v :
-         {a.spec.amplitude, a.spec.period, a.duration_hours,
-          a.warm_up_hours, a.degrade_headroom, a.reject_queue_factor}) {
-      salt += ',';
-      salt += numeric::format_double(v);
-    }
-    salt += a.drain ? ",drain" : ",no-drain";
-    salt += a.auto_strategy ? ",auto" : ",policy";
-    salt += a.admission_enabled ? ",admission" : ",no-admission";
-    salt += ",nodes=";
-    if (!a.nodes.has_value()) {
-      salt += "preset";
-    } else if (a.nodes->bound()) {
-      salt += '@';
-      salt += a.nodes->axis;
-    } else {
-      salt += numeric::format_double(a.nodes->fixed);
-    }
-    salt += ',';
-    salt += std::to_string(a.containers);
-    // Speed classes enter the fingerprint only when set — like the plan
-    // cache below, the homogeneous default keeps the historical salt.
-    if (a.slow_fraction.has_value()) {
-      salt += ",slow_fraction=";
-      if (a.slow_fraction->bound()) {
-        salt += '@';
-        salt += a.slow_fraction->axis;
-      } else {
-        salt += numeric::format_double(a.slow_fraction->fixed);
+    for (std::size_t i = 0; void* object = section.object(m, i); ++i) {
+      salt += '[';
+      salt += section.prefix();
+      salt += section.repeated() ? std::to_string(i + 1) + "]" : "]";
+      for (const ManifestField& field : section.fields) {
+        salt += field.key;
+        salt += '=';
+        field.encode(field, salt, object);
+        salt += ';';
       }
-      salt += ",slow_speed=";
-      salt += numeric::format_double(a.slow_speed);
-    }
-    // The plan cache enters the fingerprint only when it is on: off is the
-    // historical behavior, so pre-existing journals stay valid.
-    if (a.plan_cache.mode != serve::CacheMode::kOff) {
-      salt += ",plan_cache=";
-      if (a.plan_cache.mode == serve::CacheMode::kExact) {
-        salt += "exact";
-      } else {
-        salt += "quantized:";
-        salt += numeric::format_double(a.plan_cache.grid);
-      }
-    }
-    // Trace-driven arrivals: fingerprint the loaded times (FNV-1a over
-    // their canonical decimal forms), never the file path — editing the
-    // file must invalidate the journal even when the path is unchanged.
-    if (a.spec.kind == trace::ArrivalKind::kTrace) {
-      std::uint64_t hash = 1469598103934665603ull;
-      for (const double t : a.spec.times) {
-        for (const char c : numeric::format_double(t)) {
-          hash ^= static_cast<unsigned char>(c);
-          hash *= 1099511628211ull;
-        }
-        hash ^= static_cast<unsigned char>(';');
-        hash *= 1099511628211ull;
-      }
-      salt += ",times=";
-      salt += std::to_string(a.spec.times.size());
-      salt += ':';
-      salt += std::to_string(hash);
     }
   }
   return salt;
@@ -929,46 +949,23 @@ SweepHooks make_hooks(const Manifest& manifest) {
   const auto m = std::make_shared<const Manifest>(manifest);
   SweepHooks hooks;
   hooks.setup = [m](const SweepPoint& point) {
+    SharedCell shared;
     if (m->arrivals.has_value()) {
       // Open-system cells sample jobs on the fly — nothing to pre-plan.
-      SharedCell shared;
       if (m->report_utility) {
         shared.r_min = std::max(0.0, m->r_min_fixed + m->r_min_offset);
       }
       return shared;
     }
-    trace::TraceConfig config = m->trace;
-    if (m->trace_beta.has_value()) {
-      const double beta = m->trace_beta->resolve(point);
-      config.beta_lo = beta;
-      config.beta_hi = beta;
-    }
-    if (m->trace_deadline_factor.has_value()) {
-      const double factor = m->trace_deadline_factor->resolve(point);
-      config.deadline_factor_lo = factor;
-      config.deadline_factor_hi = factor;
-    }
-    config.extra_stages = resolve_stages(m->stages, point);
-    auto jobs = generate_trace(config);
-
-    SharedCell shared;
+    auto jobs = generate_trace(cell_trace(*m, point));
     if (m->report_utility) {
       const double base = m->r_min_mode == RMinMode::kBaseline
                               ? mean_baseline_pocd(jobs)
                               : m->r_min_fixed;
       shared.r_min = std::max(0.0, base + m->r_min_offset);
     }
-
-    trace::PlannerConfig planner;
-    planner.theta = m->planner_theta.resolve(point);
-    if (m->planner_tau_est_factor.has_value()) {
-      planner.tau_est_factor = m->planner_tau_est_factor->resolve(point);
-    }
-    if (m->planner_tau_kill_factor.has_value()) {
-      planner.tau_kill_factor = m->planner_tau_kill_factor->resolve(point);
-    }
     const trace::SpotPriceModel prices;
-    plan_trace(jobs, point.policy, planner, prices);
+    plan_trace(jobs, point.policy, cell_planner(*m, point), prices);
     shared.jobs = std::make_shared<const std::vector<trace::TracedJob>>(
         std::move(jobs));
     return shared;
@@ -987,34 +984,14 @@ SweepHooks make_hooks(const Manifest& manifest) {
       if (a.spec.kind != trace::ArrivalKind::kTrace) {
         open->arrivals.rate = a.rate.resolve(point);
       }
-      open->workload = m->trace;
-      if (m->trace_beta.has_value()) {
-        const double beta = m->trace_beta->resolve(point);
-        open->workload.beta_lo = beta;
-        open->workload.beta_hi = beta;
-      }
-      if (m->trace_deadline_factor.has_value()) {
-        const double factor = m->trace_deadline_factor->resolve(point);
-        open->workload.deadline_factor_lo = factor;
-        open->workload.deadline_factor_hi = factor;
-      }
-      open->workload.extra_stages = resolve_stages(m->stages, point);
-      open->planner.theta = m->planner_theta.resolve(point);
-      if (m->planner_tau_est_factor.has_value()) {
-        open->planner.tau_est_factor =
-            m->planner_tau_est_factor->resolve(point);
-      }
-      if (m->planner_tau_kill_factor.has_value()) {
-        open->planner.tau_kill_factor =
-            m->planner_tau_kill_factor->resolve(point);
-      }
+      open->workload = cell_trace(*m, point);
+      open->planner = cell_planner(*m, point);
       open->plan_cache = a.plan_cache;
       open->admission.enabled = a.admission_enabled;
       open->admission.degrade_headroom = a.degrade_headroom;
       open->admission.reject_queue_factor = a.reject_queue_factor;
       if (a.nodes.has_value()) {
-        const double resolved = a.nodes->resolve(point);
-        const long long nodes = std::llround(resolved);
+        const long long nodes = std::llround(a.nodes->resolve(point));
         CHRONOS_EXPECTS(nodes >= 1 && nodes <= (1 << 20),
                         "arrivals nodes must resolve to [1, 2^20]");
         sim::NodeConfig node;

@@ -2,41 +2,13 @@
 //
 // A manifest is a small INI-subset file (no external dependencies) that
 // declares everything tools/sweeprun needs to run a grid: the axes,
-// policies, replication policy (fixed or adaptive), the synthetic-trace and
-// planner templates that build each cell, and where the reports and the
-// checkpoint journal go. Example (the checked-in manifests/fig3_theta.ini
-// reproduces bench/fig3_theta byte-for-byte):
+// policies, replication policy (fixed or adaptive), the synthetic-trace,
+// stage, planner and arrival templates that build each cell, and where the
+// reports and the checkpoint journal go. manifests/*.ini are examples.
 //
-//   [sweep]
-//   name = fig3_theta
-//   policies = mantri, clone, s-restart, s-resume
-//   replications = 3
-//   seed = 41
-//
-//   [axis.theta]
-//   values = 1e-6, 1e-5, 1e-4, 1e-3
-//
-//   [trace]
-//   num_jobs = 900
-//   duration_hours = 30
-//   mean_tasks = 60
-//   max_tasks = 600
-//   seed = 77
-//
-//   [planner]
-//   theta = @theta          # "@name" binds the field to that axis' value
-//
-//   [experiment]
-//   utility = on
-//   r_min = baseline        # mean no-speculation PoCD of the cell's trace
-//
-//   [output]
-//   csv = fig3.csv
-//   journal = fig3.journal
-//
-//   [shard]                 # optional: cluster sharding defaults
-//   count = 4               # sweeprun --shard i/4 on each machine,
-//   dir = journals          # per-shard journals in this shared directory
+// Every key is one row of the field table (manifest_fields(), defined in
+// manifest.cpp): that row drives parsing, range checks, the journal salt
+// and README's "Manifest key reference", which lists each key's default.
 //
 // Syntax: "[section]" headers, "key = value" pairs, "#"/";" full-line
 // comments plus "#" inline comments, comma-separated lists, double quotes
@@ -44,8 +16,11 @@
 // every error names the offending line.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/sweep.h"
@@ -84,29 +59,6 @@ struct ManifestOutputs {
 /// the closed [trace] workload to running the open-system engine
 /// (sim/open_system.h). The [trace] section still supplies the per-job
 /// shape template; num_jobs/duration_hours/seed of [trace] are unused.
-///
-///   [arrivals]
-///   kind = poisson          # poisson | diurnal | trace
-///   rate = @lambda          # jobs/second; bindable (poisson/diurnal)
-///   amplitude = 0.5         # diurnal modulation depth, [0, 1)
-///   period_hours = 24       # diurnal period
-///   file = arrivals.txt     # kind = trace: one arrival time per line
-///   duration_hours = 1      # arrival horizon
-///   warm_up_hours = 0.1     # measurement starts here
-///   drain = on              # run to empty after the horizon
-///   plan = policy           # policy | auto (per-job optimize_all)
-///   plan_cache = off        # off | exact | quantized:<grid>; exact serves
-///                           #   bit-identical plans for repeated inputs,
-///                           #   quantized shares plans within geometric
-///                           #   (1+grid)-ratio buckets (serve/plan_cache.h)
-///   admission = on          # capacity-aware admission control
-///   degrade_headroom = 1.0
-///   reject_queue_factor = 4.0
-///   nodes = @nodes          # bindable; uniform cluster of `containers`
-///   containers = 8          #   per node (defaults to the preset cluster)
-///   slow_fraction = 0.25    # optional speed-class axis: this fraction of
-///   slow_speed = 0.5        #   the nodes runs at slow_speed (needs nodes)
-///
 /// With [arrivals], `r_min = baseline` is rejected: the baseline PoCD of a
 /// pre-generated trace is a closed-system property; utility sweeps must
 /// give a numeric r_min.
@@ -138,12 +90,6 @@ struct ManifestArrivals {
 /// becomes an (N+1)-stage DAG. Shape fields are axis-bindable; `deps` lists
 /// predecessor stage indices in final job numbering (0 = the sampled root),
 /// empty meaning a barrier on the previous stage.
-///
-///   [stage.1]
-///   tasks = 4
-///   t_min = @t_min_reduce
-///   beta = 1.6
-///   deps = 0
 struct ManifestStage {
   Binding tasks{.fixed = 1.0, .axis = {}};
   Binding t_min{.fixed = 1.0, .axis = {}};
@@ -204,10 +150,86 @@ Manifest load_manifest(const std::string& path);
 SweepHooks make_hooks(const Manifest& manifest);
 
 /// Canonical encoding of everything outside the SweepSpec that changes a
-/// manifest sweep's numbers (trace/planner/experiment templates — not the
-/// output paths). Pass it as SweepOptions::journal_salt so that editing
-/// those sections invalidates an existing journal instead of silently
-/// resuming from results of the old configuration.
+/// manifest sweep's numbers: every SaltClass::kSalted field of the table,
+/// encoded from the parsed Manifest (output paths and [shard] never enter
+/// it). Pass it as SweepOptions::journal_salt so that editing those
+/// sections invalidates an existing journal instead of silently resuming
+/// from results of the old configuration.
 std::string manifest_journal_salt(const Manifest& manifest);
+
+// --- the field table -------------------------------------------------------
+
+/// How a field feeds a journal's fingerprint.
+enum class SaltClass : std::uint8_t {
+  kSalted,       ///< encoded by manifest_journal_salt
+  kFingerprint,  ///< in spec_fingerprint ([sweep], [axis.*], [adaptive])
+  kNever,        ///< cannot change a sweep's numbers ([output], [shard])
+};
+
+/// How a field's value is spelled; the destination's type picks it.
+enum class FieldKind : std::uint8_t {
+  kInt,              ///< integer, range-checked to [lo, hi]
+  kUint64,           ///< unsigned 64-bit integer
+  kDouble,           ///< number, then `check`
+  kBool,             ///< on/off, true/false, yes/no, 1/0
+  kString,           ///< raw text, then `check`
+  kEnum,             ///< one of `names`
+  kBinding,          ///< number (then `check`) or "@axis"; may be optional
+  kCustom,           ///< the field's own parse/encode pair
+};
+
+/// Single-value predicate applied after parsing (fixed bindings only).
+enum class FieldCheck : std::uint8_t {
+  kNone,
+  kPositive,      ///< finite and > 0
+  kUnitInterval,  ///< in [0, 1]
+  kAtLeastOne,    ///< finite and >= 1
+  kAboveOne,      ///< finite and > 1
+  kNonEmpty,      ///< non-empty text
+};
+
+/// What a field's parser sees of its line (defined in manifest.cpp).
+struct FieldInput;
+
+struct EnumName {
+  std::string_view name;
+  int value;
+};
+
+/// One manifest key: how it parses, checks, defaults and encodes.
+struct ManifestField {
+  std::string_view key;
+  FieldKind kind;
+  std::string_view fallback;  ///< value when absent, "required", or empty
+  FieldCheck check;
+  long long lo, hi;                 ///< kInt bounds
+  std::span<const EnumName> names;  ///< kEnum spellings
+  /// Parses `in` into the field of `object` (its section's instance).
+  void (*parse)(const ManifestField& field, const FieldInput& in,
+                void* object);
+  /// Appends the field's canonical value (may be nullptr outside kSalted).
+  void (*encode)(const ManifestField& field, std::string& out, void* object);
+
+  bool required() const { return fallback == "required"; }
+};
+
+/// One section of a manifest and its keys. A heading with a "<...>" suffix
+/// ("axis.<name>", "stage.<N>") is a repeated section matched by prefix.
+struct ManifestSection {
+  std::string_view heading;
+  SaltClass salt;
+  /// The section's i-th instance inside a Manifest, or nullptr past the
+  /// last one (absent optional sections have none).
+  void* (*object)(Manifest& manifest, std::size_t i);
+  std::span<const ManifestField> fields;
+
+  std::string_view prefix() const {
+    return heading.substr(0, heading.find('<'));
+  }
+  bool repeated() const { return prefix().size() != heading.size(); }
+};
+
+/// Every manifest section, in parse order (README order).
+std::span<const ManifestSection> manifest_sections();
 
 }  // namespace chronos::exp

@@ -6,12 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <initializer_list>
+#include <map>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "exp/checkpoint.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 
@@ -548,6 +556,335 @@ deps = 0, 1
                   {"at least one replication"}, {});
   expect_rejected("[sweep]\npolicies = clone\n[axis.]\nvalues = 1\n",
                   {"axis section needs a name"}, {3});
+}
+
+TEST(Manifest, RejectsIntegersBeyondTheirField) {
+  // Each value is 2^32 + k: narrowed to int it would wrap to k and pass
+  // validation as a different, plausible manifest.
+  const std::string sweep = "[sweep]\npolicies = clone\n";
+  expect_rejected(sweep + "replications = 4294967298\n",
+                  {"sweep replications must be", "'4294967298'"}, {3});
+  expect_rejected(sweep + "replications = -4294967295\n",
+                  {"sweep replications must be"}, {3});
+  expect_rejected(sweep + "[trace]\nnum_jobs = 4294967304\n",
+                  {"trace num_jobs must be"}, {4});
+  expect_rejected(sweep + "[trace]\nmax_tasks = 4294967336\n",
+                  {"trace max_tasks must be"}, {4});
+  const std::string adaptive =
+      sweep + "[adaptive]\nmetric = pocd\ntarget_ci95 = 0.1\n";
+  expect_rejected(adaptive + "batch = 4294967297\nmax_replications = 8\n",
+                  {"adaptive batch must be"}, {6});
+  expect_rejected(adaptive + "max_replications = 4294967304\n",
+                  {"adaptive max_replications must be"}, {6});
+  // The largest int still parses.
+  EXPECT_EQ(parse_manifest(sweep + "[trace]\nmax_tasks = 2147483647\n")
+                .trace.max_tasks,
+            2147483647);
+}
+
+/// A manifest as ordered sections of ordered "key = value" pairs.
+using Entries = std::vector<std::pair<std::string, std::string>>;
+using ManifestText = std::vector<std::pair<std::string, Entries>>;
+
+std::string render(const ManifestText& text) {
+  std::string out;
+  for (const auto& [section, entries] : text) {
+    out += "[" + section + "]\n";
+    for (const auto& [key, value] : entries) {
+      out += key + " = " + value + "\n";
+    }
+  }
+  return out;
+}
+
+/// The entries of the last section of `text` that `table` matches.
+Entries* entries_of(ManifestText& text, const ManifestSection& table) {
+  for (auto it = text.rbegin(); it != text.rend(); ++it) {
+    if (table.repeated() ? it->first.starts_with(table.prefix())
+                         : it->first == table.heading) {
+      return &it->second;
+    }
+  }
+  return nullptr;
+}
+
+Entries::iterator find_key(Entries& entries, const std::string& key) {
+  return std::ranges::find(entries, key, &Entries::value_type::first);
+}
+
+/// `text` with `key = value` set in the last section `table` matches;
+/// nullopt when none does.
+std::optional<ManifestText> with(ManifestText text,
+                                 const ManifestSection& table,
+                                 const std::string& key,
+                                 const std::string& value) {
+  Entries* entries = entries_of(text, table);
+  if (entries == nullptr) {
+    return std::nullopt;
+  }
+  if (const auto it = find_key(*entries, key); it != entries->end()) {
+    it->second = value;
+  } else {
+    entries->emplace_back(key, value);
+  }
+  return text;
+}
+
+const ManifestSection& section_named(std::string_view heading) {
+  for (const ManifestSection& section : manifest_sections()) {
+    if (section.heading == heading) {
+      return section;
+    }
+  }
+  throw std::out_of_range(std::string(heading));
+}
+
+struct Fingerprints {
+  std::string salt;
+  std::string spec;  ///< spec_fingerprint(spec, salt)
+};
+
+std::optional<Fingerprints> fingerprints(const ManifestText& text) {
+  try {
+    const Manifest manifest = parse_manifest(render(text));
+    const std::string salt = manifest_journal_salt(manifest);
+    return Fingerprints{salt, spec_fingerprint(manifest.spec, salt)};
+  } catch (const PreconditionError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(Manifest, EveryTableFieldFeedsItsFingerprintClass) {
+  const std::string dir = ::testing::TempDir();
+  const std::string times_a = dir + "chronos_salt_times_a.txt";
+  const std::string times_a_copy = dir + "chronos_salt_times_a_copy.txt";
+  const std::string times_b = dir + "chronos_salt_times_b.txt";
+  std::ofstream(times_a) << "1\n2\n";
+  std::ofstream(times_a_copy) << "1\n2\n";
+  std::ofstream(times_b) << "1\n3\n";
+
+  const ManifestText closed = {
+      {"sweep",
+       {{"name", "base"}, {"policies", "clone"}, {"replications", "2"},
+        {"seed", "3"}}},
+      {"axis.x", {{"values", "1, 2"}, {"labels", "a, b"}}},
+      {"adaptive",
+       {{"metric", "pocd"}, {"target_ci95", "0.1"}, {"batch", "1"},
+        {"max_replications", "4"}}},
+      {"trace", {{"num_jobs", "10"}, {"mean_tasks", "5"}, {"seed", "7"}}},
+      {"stage.1", {{"tasks", "2"}, {"t_min", "3"}, {"beta", "1.5"}}},
+      {"stage.2",
+       {{"tasks", "2"}, {"t_min", "3"}, {"beta", "1.5"}, {"deps", "1"}}},
+      {"planner", {{"theta", "1e-4"}}},
+      {"experiment", {{"utility", "on"}, {"r_min", "0.5"}}},
+      {"output", {{"csv", "a.csv"}}},
+      {"shard", {{"count", "2"}}},
+  };
+  const ManifestText open_minimal = {
+      {"sweep", {{"policies", "clone"}}},
+      {"axis.x", {{"values", "1, 2"}}},
+      {"arrivals", {{"rate", "0.1"}}},
+  };
+  const ManifestText open_diurnal = {
+      {"sweep", {{"policies", "clone"}}},
+      {"axis.x", {{"values", "1, 2"}}},
+      {"experiment", {{"utility", "on"}, {"r_min", "0.5"}}},
+      {"arrivals",
+       {{"kind", "diurnal"},
+        {"rate", "0.1"},
+        {"nodes", "4"},
+        {"slow_fraction", "0.25"}}},
+  };
+  const ManifestText replay = {
+      {"sweep", {{"policies", "clone"}}},
+      {"arrivals", {{"kind", "trace"}, {"file", times_a}}},
+  };
+  const std::vector<const ManifestText*> bases = {&closed, &open_minimal,
+                                                  &open_diurnal, &replay};
+  // Tried in order for every field; a field is live in a base when two of
+  // them parse (distinct texts here always parse to distinct values).
+  std::vector<std::string> pool = {
+      "0",     "1",     "2",    "0.5",   "0.25",   "1.5",     "1.25",
+      "3",     "100",   "200",  "on",    "off",    "exact",   "quantized:0.1",
+      "clone", "mantri", "pocd", "cost", "1, 2",   "3, 4",    "a, b",
+      "c, d",  "@x",    times_a, times_b};
+  for (const ManifestSection& section : manifest_sections()) {
+    for (const ManifestField& field : section.fields) {
+      for (const EnumName& name : field.names) {
+        pool.emplace_back(name.name);
+      }
+    }
+  }
+
+  // No field is exempt: every key changes what its class promises in at
+  // least one base.
+  for (const ManifestSection& section : manifest_sections()) {
+    for (const ManifestField& field : section.fields) {
+      const std::string key = std::string(field.key);
+      SCOPED_TRACE("[" + std::string(section.heading) + "] " + key);
+      bool live = false;
+      for (const ManifestText* base : bases) {
+        std::vector<Fingerprints> parsed;
+        for (const std::string& value : pool) {
+          const auto text = with(*base, section, key, value);
+          if (!text.has_value()) {
+            break;  // the base lacks this section
+          }
+          if (const auto fp = fingerprints(*text)) {
+            parsed.push_back(*fp);
+            if (parsed.size() == 2) {
+              break;
+            }
+          }
+        }
+        if (parsed.size() < 2) {
+          continue;
+        }
+        live = true;
+        const bool salt_moved = parsed[0].salt != parsed[1].salt;
+        const bool spec_moved = parsed[0].spec != parsed[1].spec;
+        switch (section.salt) {
+          case SaltClass::kSalted:
+            EXPECT_TRUE(salt_moved);
+            break;
+          case SaltClass::kFingerprint:
+            EXPECT_TRUE(spec_moved);
+            break;
+          case SaltClass::kNever:
+            EXPECT_FALSE(salt_moved || spec_moved);
+            break;
+        }
+      }
+      EXPECT_TRUE(live) << "no base manifest exercises this key";
+    }
+  }
+
+  // The arrival file enters by content, never by path.
+  const auto a = fingerprints(replay);
+  const auto copy =
+      fingerprints(*with(replay, section_named("arrivals"), "file",
+                         times_a_copy));
+  ASSERT_TRUE(a.has_value() && copy.has_value());
+  EXPECT_EQ(a->salt, copy->salt);
+}
+
+/// The table's encoding of `field` in the last instance of `section`.
+std::string encoded(const ManifestSection& section,
+                    const ManifestField& field, Manifest manifest) {
+  void* object = nullptr;
+  for (std::size_t i = 0; void* next = section.object(manifest, i); ++i) {
+    object = next;
+  }
+  std::string out;
+  field.encode(field, out, object);
+  return out;
+}
+
+TEST(Manifest, DocumentedDefaultsMatchAbsentKeys) {
+  // Writing a key's documented default must parse like leaving it out.
+  const ManifestText bases[] = {
+      {{"sweep", {{"policies", "clone"}}},
+       {"adaptive", {{"max_replications", "0"}}},
+       {"trace", {}},
+       {"stage.1", {{"tasks", "2"}, {"t_min", "3"}, {"beta", "1.5"}}},
+       {"planner", {}},
+       {"experiment", {}},
+       {"output", {}},
+       {"shard", {{"count", "2"}}}},
+      {{"sweep", {{"policies", "clone"}}},
+       {"experiment", {{"utility", "on"}, {"r_min", "0.5"}}},
+       {"arrivals", {{"rate", "0.1"}}}},
+  };
+  for (const ManifestSection& section : manifest_sections()) {
+    for (const ManifestField& field : section.fields) {
+      if (field.fallback.empty() || field.required()) {
+        continue;
+      }
+      const std::string key(field.key);
+      SCOPED_TRACE("[" + std::string(section.heading) + "] " + key);
+      bool checked = false;
+      for (ManifestText base : bases) {
+        Entries* entries = entries_of(base, section);
+        if (entries == nullptr || find_key(*entries, key) != entries->end()) {
+          continue;  // only an absent key takes its default
+        }
+        const auto text = with(base, section, key, std::string(field.fallback));
+        EXPECT_EQ(encoded(section, field, parse_manifest(render(base))),
+                  encoded(section, field, parse_manifest(render(*text))));
+        checked = true;
+      }
+      EXPECT_TRUE(checked);
+    }
+  }
+}
+
+/// README's "Manifest key reference" rows: "| `[section]` | `key` |
+/// default | bindable | salted |".
+std::map<std::pair<std::string, std::string>, std::vector<std::string>>
+readme_keys() {
+  std::ifstream readme(CHRONOS_TEST_DIR "/../README.md");
+  std::map<std::pair<std::string, std::string>, std::vector<std::string>>
+      rows;
+  std::string line;
+  while (std::getline(readme, line)) {
+    if (!line.starts_with("| `[")) {
+      continue;
+    }
+    std::vector<std::string> cells;
+    std::stringstream stream(line.substr(1));
+    std::string cell;
+    while (std::getline(stream, cell, '|')) {
+      std::string text;
+      for (const char c : cell) {
+        if (c != '`') {
+          text += c;
+        }
+      }
+      const auto begin = text.find_first_not_of(' ');
+      const auto end = text.find_last_not_of(' ');
+      cells.push_back(begin == std::string::npos
+                          ? ""
+                          : text.substr(begin, end - begin + 1));
+    }
+    if (cells.size() >= 5) {
+      const std::string section = cells[0].substr(1, cells[0].size() - 2);
+      rows[{section, cells[1]}] = {cells[2], cells[3], cells[4]};
+    }
+  }
+  return rows;
+}
+
+TEST(Manifest, ReadmeKeyReferenceMatchesTheTable) {
+  const auto rows = readme_keys();
+  ASSERT_FALSE(rows.empty()) << "README has no manifest key reference";
+  std::set<std::pair<std::string, std::string>> table;
+  for (const ManifestSection& section : manifest_sections()) {
+    for (const ManifestField& field : section.fields) {
+      const std::pair<std::string, std::string> id{
+          std::string(section.heading), std::string(field.key)};
+      table.insert(id);
+      const auto row = rows.find(id);
+      if (row == rows.end()) {
+        ADD_FAILURE() << "README lacks [" << id.first << "] " << id.second;
+        continue;
+      }
+      const std::vector<std::string>& cells = row->second;
+      if (!field.fallback.empty()) {
+        EXPECT_EQ(cells[0], field.fallback) << id.first << " " << id.second;
+      }
+      EXPECT_EQ(cells[1], field.kind == FieldKind::kBinding ? "yes" : "no")
+          << id.first << " " << id.second;
+      const char* salted = section.salt == SaltClass::kSalted ? "yes"
+                           : section.salt == SaltClass::kFingerprint
+                               ? "fingerprint"
+                               : "no";
+      EXPECT_EQ(cells[2], salted) << id.first << " " << id.second;
+    }
+  }
+  for (const auto& [id, cells] : rows) {
+    EXPECT_TRUE(table.count(id))
+        << "README documents unknown key [" << id.first << "] " << id.second;
+  }
 }
 
 TEST(Manifest, EndToEndRunMatchesHandBuiltSweep) {

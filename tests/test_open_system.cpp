@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -730,20 +731,28 @@ TEST(OpenSystemGolden, ResumeFromPartialJournalIsByteIdentical) {
 }
 
 TEST(OpenSystemGolden, ExactPlanCacheReportsMatchUncachedGoldens) {
-  // open_system_cached.ini is the same grid with `plan_cache = exact`:
-  // exact-key hits are only ever served for bit-identical planning inputs,
-  // so its reports must match the UNCACHED manifest's goldens byte for byte.
-  const std::string manifest =
-      std::string(CHRONOS_MANIFEST_DIR) + "/open_system_cached.ini";
-  const std::string csv = temp_path("cached.csv");
-  const std::string json = temp_path("cached.json");
-  ASSERT_EQ(run_command(kSweeprun + " " + manifest + " --fresh --no-table" +
-                        " --threads 2 --journal " +
-                        temp_path("cached.journal") + " --csv " + csv +
-                        " --json " + json),
-            0);
-  EXPECT_EQ(slurp(csv), slurp(kGoldenDir + "/open_system.csv"));
-  EXPECT_EQ(slurp(json), slurp(kGoldenDir + "/open_system.json"));
+  // Each manifest runs with `plan_cache = exact` against goldens generated
+  // with the cache off: exact-key hits are only ever served for
+  // bit-identical planning inputs, so the reports must match byte for byte.
+  // open_system_cached.ini is open_system.ini's grid (few repeated
+  // inputs); open_system_repeated.ini gives every job one shape, so nearly
+  // every request is a hit.
+  for (const auto& [name, golden] :
+       {std::pair{"open_system_cached", "open_system"},
+        std::pair{"open_system_repeated", "open_system_repeated"}}) {
+    const std::string manifest =
+        std::string(CHRONOS_MANIFEST_DIR) + "/" + name + ".ini";
+    const std::string csv = temp_path(std::string(name) + ".csv");
+    const std::string json = temp_path(std::string(name) + ".json");
+    ASSERT_EQ(run_command(kSweeprun + " " + manifest + " --fresh --no-table" +
+                          " --threads 2 --journal " +
+                          temp_path(std::string(name) + ".journal") +
+                          " --csv " + csv + " --json " + json),
+              0);
+    EXPECT_EQ(slurp(csv), slurp(kGoldenDir + "/" + golden + ".csv")) << name;
+    EXPECT_EQ(slurp(json), slurp(kGoldenDir + "/" + golden + ".json"))
+        << name;
+  }
 }
 
 }  // namespace

@@ -603,6 +603,16 @@ TEST(SweeprunCli, UnknownFlagsAndBadShardSpecsExitWithUsage) {
             std::string::npos)
       << result.output;
 
+  // Numeric flags parse the whole argument: trailing junk or a non-number
+  // must not silently run with a default.
+  for (const char* bad : {"--reps abc", "--threads 2x", "--reps -1",
+                          "--threads 4294967298", "--connect-attempts 3z"}) {
+    result = run_command(kSweeprun + " " + manifest + " " + bad);
+    EXPECT_EQ(result.status, 2) << bad << ": " << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
+        << bad << ": " << result.output;
+  }
+
   // No manifest at all.
   result = run_command(kSweeprun);
   EXPECT_EQ(result.status, 2) << result.output;

@@ -55,6 +55,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -153,6 +154,17 @@ bool parse_size(const std::string& text, std::size_t& out) {
          result.ptr == text.data() + text.size();
 }
 
+/// Full-string parse of a count that must fit an int.
+bool parse_int(const std::string& text, int& out) {
+  std::size_t parsed = 0;
+  if (!parse_size(text, parsed) ||
+      parsed > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  out = static_cast<int>(parsed);
+  return true;
+}
+
 Cli parse_cli(int argc, char** argv) {
   Cli cli;
   const auto value = [&](int& i) -> const char* {
@@ -165,11 +177,9 @@ Cli parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
-      cli.threads = std::atoi(value(i));
-      if (cli.threads < 0) usage(argv[0]);
+      if (!parse_int(value(i), cli.threads)) usage(argv[0]);
     } else if (arg == "--reps") {
-      cli.reps = std::atoi(value(i));
-      if (cli.reps < 0) usage(argv[0]);
+      if (!parse_int(value(i), cli.reps)) usage(argv[0]);
     } else if (arg == "--journal") {
       cli.journal = value(i);
     } else if (arg == "--csv") {
@@ -248,8 +258,10 @@ Cli parse_cli(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--connect-attempts") {
-      cli.connect_attempts = std::atoi(value(i));
-      if (cli.connect_attempts < 1) usage(argv[0]);
+      if (!parse_int(value(i), cli.connect_attempts) ||
+          cli.connect_attempts < 1) {
+        usage(argv[0]);
+      }
     } else if (arg == "--fault") {
       cli.fault = value(i);
     } else if (!arg.empty() && arg.front() == '-') {
