@@ -685,14 +685,9 @@ constexpr ManifestSection kSections[] = {
     {"shard", kNever, instance<&Manifest::shard>, kShardFields},
 };
 
-// read_fields tracks the keys it saw in one 64-bit mask, and the salt
-// encodes every field of a salted section.
+// read_fields tracks the keys it saw in one 64-bit mask.
 static_assert(std::ranges::all_of(kSections, [](const ManifestSection& s) {
-  return s.fields.size() <= 64 &&
-         (s.salt != kSalted ||
-          std::ranges::all_of(s.fields, [](const ManifestField& f) {
-            return f.encode != nullptr;
-          }));
+  return s.fields.size() <= 64;
 }));
 
 // --- parsing -----------------------------------------------------------------

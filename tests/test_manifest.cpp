@@ -722,6 +722,9 @@ TEST(Manifest, EveryTableFieldFeedsItsFingerprintClass) {
     for (const ManifestField& field : section.fields) {
       const std::string key = std::string(field.key);
       SCOPED_TRACE("[" + std::string(section.heading) + "] " + key);
+      if (section.salt == SaltClass::kSalted) {
+        ASSERT_NE(field.encode, nullptr) << "a salted field needs an encoder";
+      }
       bool live = false;
       for (const ManifestText* base : bases) {
         std::vector<Fingerprints> parsed;
