@@ -6,9 +6,9 @@
 // stage, planner and arrival templates that build each cell, and where the
 // reports and the checkpoint journal go. manifests/*.ini are examples.
 //
-// Every key is one row of the field table (manifest_fields(), defined in
-// manifest.cpp): that row drives parsing, range checks, the journal salt
-// and README's "Manifest key reference", which lists each key's default.
+// Every key is one row of the field table (manifest_sections(), defined
+// in manifest.cpp): that row drives parsing, range checks, the journal
+// salt and README's "Manifest key reference", which lists each default.
 //
 // Syntax: "[section]" headers, "key = value" pairs, "#"/";" full-line
 // comments plus "#" inline comments, comma-separated lists, double quotes
@@ -178,7 +178,7 @@ enum class FieldKind : std::uint8_t {
   kCustom,           ///< the field's own parse/encode pair
 };
 
-/// Single-value predicate applied after parsing (fixed bindings only).
+/// Predicate on one parsed value (on a binding only when it is fixed).
 enum class FieldCheck : std::uint8_t {
   kNone,
   kPositive,      ///< finite and > 0
