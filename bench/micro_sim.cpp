@@ -14,15 +14,29 @@ namespace {
 
 using namespace chronos;  // NOLINT
 
+/// Ignores every event, so the queue benchmarks time the queue alone.
+class NoopHandler final : public sim::EventHandler {
+ public:
+  void on_event(const sim::TypedEvent& /*event*/) override {}
+};
+
+/// Pops the earliest event and delivers it, as Simulator::step does.
+void fire_next(sim::EventQueue& queue) {
+  const auto fired = queue.pop();
+  fired.handler->on_event(fired.event);
+}
+
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   const auto n = state.range(0);
+  NoopHandler handler;
   for (auto _ : state) {
     sim::EventQueue queue;
     for (long long i = 0; i < n; ++i) {
-      queue.schedule(static_cast<double>((i * 7919) % 1000), [] {});
+      queue.schedule(static_cast<double>((i * 7919) % 1000), handler,
+                     sim::TypedEvent{});
     }
     while (!queue.empty()) {
-      queue.pop().fn();
+      fire_next(queue);
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -31,19 +45,20 @@ BENCHMARK(BM_EventQueueScheduleFire)->Arg(1000)->Arg(100000);
 
 void BM_EventQueueCancelHalf(benchmark::State& state) {
   const auto n = state.range(0);
+  NoopHandler handler;
   for (auto _ : state) {
     sim::EventQueue queue;
     std::vector<sim::EventId> ids;
     ids.reserve(static_cast<std::size_t>(n));
     for (long long i = 0; i < n; ++i) {
-      ids.push_back(
-          queue.schedule(static_cast<double>(i % 977), [] {}));
+      ids.push_back(queue.schedule(static_cast<double>(i % 977), handler,
+                                   sim::TypedEvent{}));
     }
     for (long long i = 0; i < n; i += 2) {
       queue.cancel(ids[static_cast<std::size_t>(i)]);
     }
     while (!queue.empty()) {
-      queue.pop().fn();
+      fire_next(queue);
     }
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -30,9 +30,7 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
     crash_sampler_.emplace(config_.failures.rate);
   }
   metrics_.set_retain_outcomes(config_.retain_outcomes);
-  cluster_.set_grant_sink([this](const sim::GrantTicket& ticket, int node) {
-    dispatch(ticket, node);
-  });
+  cluster_.set_grant_sink(this);
 }
 
 Scheduler::~Scheduler() { cluster_.set_grant_sink(nullptr); }

@@ -124,7 +124,8 @@ struct SchedulerConfig {
   FailureConfig failures;
 };
 
-class Scheduler final : private sim::EventHandler {
+class Scheduler final : private sim::EventHandler,
+                        private sim::Cluster::GrantSink {
  public:
   /// The simulator, cluster and policy must outlive the scheduler. The
   /// scheduler installs itself as the cluster's grant sink.
@@ -196,6 +197,9 @@ class Scheduler final : private sim::EventHandler {
   void dispatch(const sim::TypedEvent& event, int node);
   void on_event(const sim::TypedEvent& event) override {
     dispatch(event, -1);
+  }
+  void on_grant(const sim::GrantTicket& ticket, int node) override {
+    dispatch(ticket, node);
   }
 
   /// Creates an attempt record for `task` starting at `offset` and requests

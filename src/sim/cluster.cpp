@@ -49,7 +49,7 @@ int Cluster::pick_node() const {
 }
 
 void Cluster::request_container(const GrantTicket& ticket) {
-  CHRONOS_EXPECTS(static_cast<bool>(sink_), "cluster has no grant sink");
+  CHRONOS_EXPECTS(sink_ != nullptr, "cluster has no grant sink");
   const int node = pick_node();
   if (node < 0) {
     waiting_.push_back(ticket);
@@ -59,7 +59,7 @@ void Cluster::request_container(const GrantTicket& ticket) {
   ++nodes_[static_cast<std::size_t>(node)].busy;
   ++busy_;
   notify_occupancy();
-  sink_(ticket, node);
+  sink_->on_grant(ticket, node);
 }
 
 void Cluster::release_container(int node) {

@@ -10,8 +10,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,22 +39,37 @@ using GrantTicket = TypedEvent;
 class Cluster {
  public:
   /// Receives every grant: the request's ticket and the granting node.
-  using GrantSink = std::function<void(const GrantTicket& ticket, int node)>;
+  class GrantSink {
+   public:
+    virtual void on_grant(const GrantTicket& ticket, int node) = 0;
 
-  /// Observer invoked after every change to the busy-container count or the
+   protected:
+    ~GrantSink() = default;
+  };
+
+  /// Notified after every change to the busy-container count or the
   /// waiting-request queue (open-system utilization/queue-length tracking).
   /// Purely observational: it must not call back into the cluster's mutating
   /// API and never touches the numeric path.
-  using OccupancyObserver = std::function<void(int busy, std::size_t waiting)>;
+  class OccupancyObserver {
+   public:
+    virtual void on_occupancy(int busy, std::size_t waiting) = 0;
+
+   protected:
+    ~OccupancyObserver() = default;
+  };
 
   explicit Cluster(ClusterConfig config);
 
-  void set_occupancy_observer(OccupancyObserver observer) {
-    observer_ = std::move(observer);
+  /// Installs (or, with nullptr, removes) the occupancy observer; it must
+  /// outlive its installation.
+  void set_occupancy_observer(OccupancyObserver* observer) {
+    observer_ = observer;
   }
 
-  /// Installs the grant sink; requests need one.
-  void set_grant_sink(GrantSink sink) { sink_ = std::move(sink); }
+  /// Installs (or, with nullptr, removes) the grant sink; requests need
+  /// one, and it must outlive its installation.
+  void set_grant_sink(GrantSink* sink) { sink_ = sink; }
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int total_containers() const { return total_containers_; }
@@ -91,15 +104,15 @@ class Cluster {
   int pick_node() const;
 
   void notify_occupancy() const {
-    if (observer_) {
-      observer_(busy_, waiting_.size());
+    if (observer_ != nullptr) {
+      observer_->on_occupancy(busy_, waiting_.size());
     }
   }
 
   std::vector<NodeState> nodes_;
   std::deque<GrantTicket> waiting_;
-  GrantSink sink_;
-  OccupancyObserver observer_;
+  GrantSink* sink_ = nullptr;
+  OccupancyObserver* observer_ = nullptr;
   int total_containers_ = 0;
   int busy_ = 0;
 };

@@ -1,7 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <utility>
+#include <functional>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -40,38 +40,25 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t slot) {
   auto& s = slots_[slot];
-  s.fn = nullptr;
   s.handler = nullptr;
   ++s.generation;  // invalidates the heap entry and any outstanding EventId
   s.next_free = free_head_;
   free_head_ = slot + 1;
 }
 
-EventId EventQueue::schedule(Time at, std::function<void()> fn) {
-  CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
-  CHRONOS_EXPECTS(static_cast<bool>(fn), "event callback must be callable");
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].fn = std::move(fn);
-  return push(at, slot);
-}
-
 EventId EventQueue::schedule(Time at, EventHandler& handler,
                              const TypedEvent& event) {
   CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].handler = &handler;
-  slots_[slot].event = event;
-  return push(at, slot);
-}
-
-EventId EventQueue::push(Time at, std::uint32_t slot) {
-  const std::uint64_t generation = slots_[slot].generation;
-  heap_.push_back(Entry{at, next_seq_++, generation, slot});
+  auto& s = slots_[slot];
+  s.handler = &handler;
+  s.event = event;
+  heap_.push_back(Entry{at, next_seq_++, s.generation, slot});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++live_;
   c_scheduled.add();
   g_depth.update(live_);
-  return EventId{static_cast<std::uint64_t>(slot) + 1, generation};
+  return EventId{static_cast<std::uint64_t>(slot) + 1, s.generation};
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -120,9 +107,8 @@ EventQueue::Fired EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   heap_.pop_back();
   auto& slot = slots_[top.slot];
-  CHRONOS_ENSURES(slot.handler != nullptr || static_cast<bool>(slot.fn),
-                  "live event lost its callback");
-  Fired fired{top.time, std::move(slot.fn), slot.handler, slot.event};
+  CHRONOS_ENSURES(slot.handler != nullptr, "live event lost its handler");
+  const Fired fired{top.time, slot.handler, slot.event};
   release_slot(top.slot);
   CHRONOS_ENSURES(live_ > 0, "live event count underflow");
   --live_;

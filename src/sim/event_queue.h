@@ -4,23 +4,20 @@
 // events execute deterministically in scheduling order — a requirement for
 // reproducible trace-driven runs.
 //
-// An event is either a driver closure (std::function) or a typed event: a
-// POD payload addressed to an EventHandler, which the hot simulation paths
-// (the scheduler's attempt and timer events) use so that scheduling one
-// never allocates and the handler can recognize a stale payload by itself.
+// Every event is a typed event: a POD payload addressed to an EventHandler.
+// Scheduling one never allocates, and the handler can recognize a stale
+// payload by itself (the scheduler's attempt and timer events do).
 //
 // Storage is a slot arena: events live in a generation-tagged vector with
 // an intrusive free-list, and heap entries carry their slot index plus the
 // generation observed at scheduling time. Cancel/fire bump the slot's
 // generation, so stale heap entries (and stale EventIds) are recognized by a
 // simple tag mismatch — no per-event hashing, and after warm-up no
-// allocation per schedule/cancel/pop (slots and heap storage are recycled;
-// small callbacks stay in std::function's inline buffer).
+// allocation per schedule/cancel/pop (slots and heap storage are recycled).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace chronos::sim {
@@ -59,9 +56,6 @@ class EventHandler {
 
 class EventQueue {
  public:
-  /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
-  EventId schedule(Time at, std::function<void()> fn);
-
   /// Schedules `event` for delivery to `handler` at absolute time `at`.
   /// Requires at >= 0; the handler must outlive the event.
   EventId schedule(Time at, EventHandler& handler, const TypedEvent& event);
@@ -77,20 +71,11 @@ class EventQueue {
   Time next_time() const;
 
   /// Removes and returns the earliest runnable event. Requires !empty().
+  /// The caller delivers it: `fired.handler->on_event(fired.event)`.
   struct Fired {
     Time time;
-    std::function<void()> fn;        ///< empty for a typed event
-    EventHandler* handler = nullptr;  ///< set for a typed event
+    EventHandler* handler;
     TypedEvent event;
-
-    /// Runs the closure or delivers the typed event.
-    void dispatch() {
-      if (handler != nullptr) {
-        handler->on_event(event);
-      } else {
-        fn();
-      }
-    }
   };
   Fired pop();
 
@@ -118,7 +103,6 @@ class EventQueue {
   };
 
   struct Slot {
-    std::function<void()> fn;
     EventHandler* handler = nullptr;
     TypedEvent event;
     std::uint64_t generation = 0;  ///< bumped whenever the slot is released
@@ -131,7 +115,6 @@ class EventQueue {
   void drop_stale() const;
 
   std::uint32_t acquire_slot();
-  EventId push(Time at, std::uint32_t slot);
   void release_slot(std::uint32_t slot);
 
   mutable std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -70,6 +69,15 @@ class WindowedArea {
   double area_ = 0.0;
 };
 
+/// Told of each job completion the multiplexer routes.
+class CompletionSink {
+ public:
+  virtual void on_job_done(int job) = 0;
+
+ protected:
+  ~CompletionSink() = default;
+};
+
 /// Per-job policy multiplexer: the open system schedules different jobs
 /// under different strategies within ONE scheduler, so this policy owns one
 /// lazily-created backend per PolicyKind and routes every hook to the
@@ -82,11 +90,9 @@ class WindowedArea {
 /// with no pin is a submission in progress, served by `staged_`.
 class MuxPolicy final : public mapreduce::SpeculationPolicy {
  public:
-  explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
-
-  void set_on_complete(std::function<void(int job)> fn) {
-    on_complete_ = std::move(fn);
-  }
+  /// `on_complete` must outlive the policy.
+  MuxPolicy(strategies::PolicyOptions options, CompletionSink& on_complete)
+      : options_(options), on_complete_(on_complete) {}
 
   void stage(strategies::PolicyKind kind) { staged_ = &backend(kind); }
 
@@ -127,9 +133,7 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
     auto& backend = per_job_[static_cast<std::size_t>(job)];
     backend->on_job_completed(job, api);
     backend = nullptr;
-    if (on_complete_) {
-      on_complete_(job);
-    }
+    on_complete_.on_job_done(job);
   }
 
   void on_timer(int job, int stage, int tag,
@@ -152,7 +156,7 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
   /// Backend per job slot, null while the slot is free or being submitted;
   /// grows with the scheduler's slot high-water.
   std::vector<mapreduce::SpeculationPolicy*> per_job_;
-  std::function<void(int job)> on_complete_;
+  CompletionSink& on_complete_;
 };
 
 mapreduce::SchedulerConfig open_scheduler_config(
@@ -164,7 +168,11 @@ mapreduce::SchedulerConfig open_scheduler_config(
   return scheduler;
 }
 
-class OpenEngine {
+/// Receives its own arrival events, the cluster's occupancy changes and the
+/// multiplexer's job completions.
+class OpenEngine final : private EventHandler,
+                         private Cluster::OccupancyObserver,
+                         private CompletionSink {
  public:
   explicit OpenEngine(const OpenSystemConfig& config)
       : config_(config),
@@ -172,7 +180,7 @@ class OpenEngine {
         arrival_rng_(master_.split()),
         shape_rng_(master_.split()),
         cluster_(config.cluster),
-        mux_(config.policy_options),
+        mux_(config.policy_options, *this),
         scheduler_(simulator_, cluster_, mux_, open_scheduler_config(config),
                    Rng(master_.split_seed())),
         prices_(config.prices),
@@ -183,13 +191,11 @@ class OpenEngine {
         queue_area_(config.warm_up, config.duration),
         jobs_area_(config.warm_up, config.duration) {
     measured_.set_retain_outcomes(false);
-    mux_.set_on_complete([this](int job) { on_complete(job); });
-    cluster_.set_occupancy_observer([this](int busy, std::size_t waiting) {
-      const double now = simulator_.now();
-      busy_area_.update(now, static_cast<double>(busy));
-      queue_area_.update(now, static_cast<double>(waiting));
-    });
+    cluster_.set_occupancy_observer(this);
   }
+
+  OpenEngine(const OpenEngine&) = delete;
+  OpenEngine& operator=(const OpenEngine&) = delete;
 
   OpenSystemResult run() {
     obs::TraceSpan span("open.run", "sim");
@@ -197,7 +203,7 @@ class OpenEngine {
     c_runs.add();
     const double first = arrivals_->next_after(0.0, arrival_rng_);
     if (std::isfinite(first) && first <= config_.duration) {
-      simulator_.at(first, [this, first] { on_arrival(first); });
+      simulator_.at(first, *this, TypedEvent{});
     }
     if (config_.drain) {
       simulator_.run();
@@ -208,9 +214,16 @@ class OpenEngine {
   }
 
  private:
-  enum class Decision { kAdmit, kDegrade, kReject };
+  void on_occupancy(int busy, std::size_t waiting) override {
+    const double now = simulator_.now();
+    busy_area_.update(now, static_cast<double>(busy));
+    queue_area_.update(now, static_cast<double>(waiting));
+  }
 
-  void on_arrival(double t) {
+  /// The engine's only events are arrivals, each scheduled at its arrival
+  /// instant, so the clock is the arrival time.
+  void on_event(const TypedEvent& /*arrival*/) override {
+    const double t = simulator_.now();
     ++result_.arrivals;
     c_arrivals.add();
     // Arrivals are only ever scheduled up to the horizon, so in-window
@@ -240,12 +253,16 @@ class OpenEngine {
       baseline_pocd_.add(analytic_baseline_pocd(spec));
     }
 
-    switch (admit_decision(spec)) {
-      case Decision::kReject:
+    switch (admission_decide(
+        config_.admission, spec,
+        static_cast<double>(cluster_.pending_requests()),
+        static_cast<double>(cluster_.idle_containers()),
+        static_cast<double>(cluster_.total_containers()))) {
+      case AdmissionDecision::kReject:
         ++result_.rejected;
         c_rejected.add();
         break;
-      case Decision::kDegrade:
+      case AdmissionDecision::kDegrade:
         kind = strategies::PolicyKind::kHadoopNS;
         for (auto& st : spec.stages) {
           st.r = 0;
@@ -253,14 +270,14 @@ class OpenEngine {
         ++result_.degraded;
         c_degraded.add();
         [[fallthrough]];
-      case Decision::kAdmit:
+      case AdmissionDecision::kAdmit:
         admit(spec, kind, measured);
         break;
     }
 
     const double next = arrivals_->next_after(t, arrival_rng_);
     if (std::isfinite(next) && next <= config_.duration) {
-      simulator_.at(next, [this, next] { on_arrival(next); });
+      simulator_.at(next, *this, TypedEvent{});
     }
   }
 
@@ -287,7 +304,7 @@ class OpenEngine {
     g_in_flight.update(static_cast<std::uint64_t>(in_flight_));
   }
 
-  void on_complete(int job) {
+  void on_job_done(int job) override {
     ++result_.completed;
     c_completed.add();
     --in_flight_;
@@ -313,22 +330,6 @@ class OpenEngine {
       }
     }
     scheduler_.release_job(job);
-  }
-
-  Decision admit_decision(const mapreduce::JobSpec& spec) const {
-    switch (admission_decide(
-        config_.admission, spec,
-        static_cast<double>(cluster_.pending_requests()),
-        static_cast<double>(cluster_.idle_containers()),
-        static_cast<double>(cluster_.total_containers()))) {
-      case AdmissionDecision::kReject:
-        return Decision::kReject;
-      case AdmissionDecision::kDegrade:
-        return Decision::kDegrade;
-      case AdmissionDecision::kAdmit:
-        break;
-    }
-    return Decision::kAdmit;
   }
 
   double analytic_baseline_pocd(const mapreduce::JobSpec& spec) const {

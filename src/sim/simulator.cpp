@@ -4,16 +4,6 @@
 
 namespace chronos::sim {
 
-EventId Simulator::at(Time time, std::function<void()> fn) {
-  CHRONOS_EXPECTS(time >= now_, "cannot schedule an event in the past");
-  return queue_.schedule(time, std::move(fn));
-}
-
-EventId Simulator::after(double delay, std::function<void()> fn) {
-  CHRONOS_EXPECTS(delay >= 0.0, "delay must be non-negative");
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
 EventId Simulator::at(Time time, EventHandler& handler,
                       const TypedEvent& event) {
   CHRONOS_EXPECTS(time >= now_, "cannot schedule an event in the past");
@@ -27,11 +17,11 @@ EventId Simulator::after(double delay, EventHandler& handler,
 }
 
 void Simulator::step() {
-  auto fired = queue_.pop();
+  const auto fired = queue_.pop();
   CHRONOS_ENSURES(fired.time >= now_, "time must be monotone");
   now_ = fired.time;
   ++executed_;
-  fired.dispatch();
+  fired.handler->on_event(fired.event);
 }
 
 void Simulator::run() {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.h"
 
@@ -14,14 +13,8 @@ class Simulator {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (>= now()).
-  EventId at(Time at, std::function<void()> fn);
-
-  /// Schedules `fn` after `delay` seconds (>= 0).
-  EventId after(double delay, std::function<void()> fn);
-
-  /// Typed-event forms: deliver `event` to `handler` at `at` / after
-  /// `delay` (see EventQueue::schedule).
+  /// Delivers `event` to `handler` at absolute time `at` (>= now()) / after
+  /// `delay` seconds (>= 0); see EventQueue::schedule.
   EventId at(Time at, EventHandler& handler, const TypedEvent& event);
   EventId after(double delay, EventHandler& handler, const TypedEvent& event);
 

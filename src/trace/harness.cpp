@@ -1,5 +1,7 @@
 #include "trace/harness.h"
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "mapreduce/scheduler.h"
@@ -13,6 +15,25 @@ namespace {
 
 const obs::Counter c_runs = obs::counter("sim.runs");
 const obs::Timer t_run = obs::timer("sim.run");
+
+/// Submits jobs[event.slot] when its submission event fires.
+class Submitter final : public sim::EventHandler {
+ public:
+  Submitter(mapreduce::Scheduler& scheduler,
+            const std::vector<TracedJob>& jobs)
+      : scheduler_(scheduler), jobs_(jobs) {}
+
+  Submitter(const Submitter&) = delete;
+  Submitter& operator=(const Submitter&) = delete;
+
+  void on_event(const sim::TypedEvent& event) override {
+    scheduler_.submit(jobs_[event.slot].spec);
+  }
+
+ private:
+  mapreduce::Scheduler& scheduler_;
+  const std::vector<TracedJob>& jobs_;
+};
 
 }  // namespace
 
@@ -55,9 +76,13 @@ ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
   mapreduce::Scheduler scheduler(simulator, cluster, *policy,
                                  config.scheduler, Rng(config.seed));
 
-  for (const auto& job : jobs) {
-    simulator.at(job.submit_time,
-                 [&scheduler, spec = job.spec] { scheduler.submit(spec); });
+  CHRONOS_EXPECTS(jobs.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "job index must fit a typed event's slot");
+  Submitter submitter(scheduler, jobs);
+  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
+    sim::TypedEvent submit;
+    submit.slot = i;
+    simulator.at(jobs[i].submit_time, submitter, submit);
   }
   simulator.run();
 

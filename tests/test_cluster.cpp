@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -22,26 +25,46 @@ GrantTicket ticket(int id = 0) {
   return t;
 }
 
+/// Records every grant as (ticket id, node).
+class GrantLog final : public Cluster::GrantSink {
+ public:
+  void on_grant(const GrantTicket& t, int node) override {
+    ids.push_back(t.arg);
+    nodes.push_back(node);
+  }
+  std::vector<int> ids;
+  std::vector<int> nodes;
+};
+
+/// Records every (busy, waiting) occupancy notification.
+class OccupancyLog final : public Cluster::OccupancyObserver {
+ public:
+  void on_occupancy(int busy, std::size_t waiting) override {
+    seen.emplace_back(busy, waiting);
+  }
+  std::vector<std::pair<int, std::size_t>> seen;
+};
+
 TEST(Cluster, GrantsImmediatelyWhenIdle) {
   Cluster cluster(two_nodes());
-  int granted_node = -1;
-  cluster.set_grant_sink(
-      [&](const GrantTicket&, int node) { granted_node = node; });
+  GrantLog log;
+  cluster.set_grant_sink(&log);
   cluster.request_container(ticket());
-  EXPECT_GE(granted_node, 0);
+  ASSERT_EQ(log.nodes.size(), 1u);
+  EXPECT_GE(log.nodes[0], 0);
   EXPECT_EQ(cluster.busy_containers(), 1);
   EXPECT_EQ(cluster.idle_containers(), 3);
 }
 
 TEST(Cluster, BalancesAcrossNodes) {
   Cluster cluster(two_nodes());
-  std::vector<int> nodes;
-  cluster.set_grant_sink(
-      [&](const GrantTicket&, int node) { nodes.push_back(node); });
+  GrantLog log;
+  cluster.set_grant_sink(&log);
   for (int i = 0; i < 4; ++i) {
     cluster.request_container(ticket());
   }
   // Most-free-first placement alternates between the two nodes.
+  const std::vector<int>& nodes = log.nodes;
   EXPECT_EQ(nodes.size(), 4u);
   EXPECT_EQ(std::count(nodes.begin(), nodes.end(), 0), 2);
   EXPECT_EQ(std::count(nodes.begin(), nodes.end(), 1), 2);
@@ -49,13 +72,9 @@ TEST(Cluster, BalancesAcrossNodes) {
 
 TEST(Cluster, QueuesWhenFullAndGrantsFifoOnRelease) {
   Cluster cluster(two_nodes());
-  std::vector<int> grant_order;
+  GrantLog log;
+  cluster.set_grant_sink(&log);
   // Tickets 1 and 2 are the ones that must queue; 0 fills the cluster.
-  cluster.set_grant_sink([&](const GrantTicket& t, int) {
-    if (t.arg != 0) {
-      grant_order.push_back(t.arg);
-    }
-  });
   for (int i = 0; i < 4; ++i) {
     cluster.request_container(ticket(0));
   }
@@ -64,9 +83,45 @@ TEST(Cluster, QueuesWhenFullAndGrantsFifoOnRelease) {
   cluster.request_container(ticket(2));
   EXPECT_EQ(cluster.pending_requests(), 2u);
   cluster.release_container(0);
-  EXPECT_EQ(grant_order, (std::vector<int>{1}));
+  EXPECT_EQ(log.ids, (std::vector<int>{0, 0, 0, 0, 1}));
   cluster.release_container(1);
-  EXPECT_EQ(grant_order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(log.ids, (std::vector<int>{0, 0, 0, 0, 1, 2}));
+  EXPECT_EQ(cluster.pending_requests(), 0u);
+}
+
+TEST(Cluster, OccupancyObserverSeesEveryChange) {
+  // One container: a grant, a queued request, a release that re-grants the
+  // waiter, and a final release. The observer sees each change in order,
+  // the re-grant's (1, 0) before the waiter's grant is delivered.
+  NodeConfig node;
+  node.containers = 1;
+  Cluster cluster(ClusterConfig::uniform(1, node));
+  GrantLog grants;
+  OccupancyLog occupancy;
+  cluster.set_grant_sink(&grants);
+  cluster.set_occupancy_observer(&occupancy);
+  using Seen = std::vector<std::pair<int, std::size_t>>;
+  cluster.request_container(ticket(0));
+  EXPECT_EQ(occupancy.seen, (Seen{{1, 0}}));
+  cluster.request_container(ticket(1));
+  EXPECT_EQ(occupancy.seen, (Seen{{1, 0}, {1, 1}}));
+  EXPECT_EQ(grants.ids, (std::vector<int>{0}));
+  cluster.release_container(0);
+  EXPECT_EQ(occupancy.seen, (Seen{{1, 0}, {1, 1}, {0, 1}, {1, 0}}));
+  EXPECT_EQ(grants.ids, (std::vector<int>{0, 1}));
+  cluster.release_container(0);
+  EXPECT_EQ(occupancy.seen, (Seen{{1, 0}, {1, 1}, {0, 1}, {1, 0}, {0, 0}}));
+  // Removed, the observer hears nothing more.
+  cluster.set_occupancy_observer(nullptr);
+  cluster.request_container(ticket(2));
+  EXPECT_EQ(occupancy.seen.size(), 5u);
+  EXPECT_EQ(grants.ids, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Cluster, RequestWithoutGrantSinkThrows) {
+  Cluster cluster(two_nodes());
+  EXPECT_THROW(cluster.request_container(ticket()), PreconditionError);
+  EXPECT_EQ(cluster.busy_containers(), 0);
   EXPECT_EQ(cluster.pending_requests(), 0u);
 }
 
@@ -79,14 +134,13 @@ TEST(Cluster, ReleaseWithoutBusyThrows) {
 TEST(Cluster, CountsStayConsistent) {
   Cluster cluster(two_nodes());
   EXPECT_EQ(cluster.total_containers(), 4);
-  std::vector<int> nodes;
-  cluster.set_grant_sink(
-      [&](const GrantTicket&, int n) { nodes.push_back(n); });
+  GrantLog log;
+  cluster.set_grant_sink(&log);
   for (int i = 0; i < 3; ++i) {
     cluster.request_container(ticket());
   }
   EXPECT_EQ(cluster.busy_containers(), 3);
-  cluster.release_container(nodes[0]);
+  cluster.release_container(log.nodes[0]);
   EXPECT_EQ(cluster.busy_containers(), 2);
   EXPECT_EQ(cluster.idle_containers(), 2);
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "common/error.h"
 #include "trace/planner.h"
 
@@ -50,6 +53,34 @@ TEST(Harness, SingleJobTrace) {
   EXPECT_EQ(result.metrics.jobs(), 1u);
   EXPECT_EQ(result.metrics.outcomes().front().job_id, 99);
   EXPECT_EQ(result.policy_name, "Hadoop-NS");
+}
+
+TEST(Harness, SubmitsInTimeThenIndexOrder) {
+  // One container runs one single-task job at a time and grants waiting
+  // requests FIFO, so completion order is submission order. Submission
+  // times are out of order and tied: jobs fire by (submit_time, index).
+  const std::vector<double> submit_times = {5.0, 0.0, 5.0, 0.0, 2.0};
+  std::vector<TracedJob> jobs;
+  for (std::size_t i = 0; i < submit_times.size(); ++i) {
+    TracedJob job;
+    job.submit_time = submit_times[i];
+    job.spec.job_id = static_cast<int>(i);
+    job.spec.stage(0).num_tasks = 1;
+    job.spec.deadline = 1000.0;
+    job.spec.stage(0).t_min = 30.0;
+    job.spec.stage(0).beta = 1.5;
+    jobs.push_back(job);
+  }
+  auto config = ExperimentConfig::large_scale(PolicyKind::kHadoopNS);
+  sim::NodeConfig node;
+  node.containers = 1;
+  config.cluster = sim::ClusterConfig::uniform(1, node);
+  const auto result = run_experiment(jobs, config);
+  std::vector<int> completed;
+  for (const auto& outcome : result.metrics.outcomes()) {
+    completed.push_back(outcome.job_id);
+  }
+  EXPECT_EQ(completed, (std::vector<int>{1, 3, 4, 0, 2}));
 }
 
 TEST(Harness, ResultAccessorsMatchMetrics) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_handler.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "sim/cluster.h"
@@ -255,7 +256,8 @@ TEST(SchedulerSlots, TimerOfAReleasedJobNeverReachesTheSlotsNextOccupant) {
   policy.scheduler = &scheduler;
   EXPECT_EQ(scheduler.submit(one_stage_job(0, 4, 5.0)), 0);
   int second = -1;
-  simulator.at(500.0, [&] {
+  testing::ClosureHandler at_500;
+  at_500.at(simulator, 500.0, [&] {
     second = scheduler.submit(one_stage_job(1, 4, 800.0));
   });
   simulator.run();
@@ -271,7 +273,7 @@ TEST(SchedulerSlots, TimerOfAReleasedJobNeverReachesTheSlotsNextOccupant) {
   EXPECT_EQ(policy.fired,
             (Fired{{0, LongTimer::kShort}, {1, LongTimer::kShort}}));
   // Both long timers were popped (not cancelled at release): 8 attempt
-  // finishes + 4 timers + the submission closure.
+  // finishes + 4 timers + job 1's submission event.
   EXPECT_EQ(simulator.events_executed(), 13u);
   EXPECT_EQ(scheduler.metrics().jobs(), 2u);
 }
@@ -311,7 +313,8 @@ TEST(SchedulerSlots, QueuedGrantOfAReleasedJobIsReturnedNotHandedOn) {
   EXPECT_EQ(scheduler.submit(one_stage_job(0, 1, 10.0)), 0);
   EXPECT_EQ(scheduler.submit(one_stage_job(1, 1, 1000.0)), 1);
   int third = -1;
-  simulator.at(500.0, [&] {
+  testing::ClosureHandler at_500;
+  at_500.at(simulator, 500.0, [&] {
     EXPECT_EQ(cluster.pending_requests(), 1u);  // the killed attempt's ticket
     third = scheduler.submit(one_stage_job(2, 2, 10.0));
   });

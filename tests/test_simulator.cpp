@@ -4,17 +4,21 @@
 
 #include <vector>
 
+#include "closure_handler.h"
 #include "common/error.h"
 
 namespace chronos::sim {
 namespace {
 
+using testing::ClosureHandler;
+
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator simulator;
+  ClosureHandler h;
   EXPECT_EQ(simulator.now(), 0.0);
   std::vector<double> times;
-  simulator.at(2.0, [&] { times.push_back(simulator.now()); });
-  simulator.at(5.0, [&] { times.push_back(simulator.now()); });
+  h.at(simulator, 2.0, [&] { times.push_back(simulator.now()); });
+  h.at(simulator, 5.0, [&] { times.push_back(simulator.now()); });
   simulator.run();
   EXPECT_EQ(times, (std::vector<double>{2.0, 5.0}));
   EXPECT_EQ(simulator.now(), 5.0);
@@ -22,9 +26,10 @@ TEST(Simulator, ClockAdvancesWithEvents) {
 
 TEST(Simulator, AfterSchedulesRelative) {
   Simulator simulator;
+  ClosureHandler h;
   double fired_at = -1.0;
-  simulator.at(3.0, [&] {
-    simulator.after(2.0, [&] { fired_at = simulator.now(); });
+  h.at(simulator, 3.0, [&] {
+    h.after(simulator, 2.0, [&] { fired_at = simulator.now(); });
   });
   simulator.run();
   EXPECT_EQ(fired_at, 5.0);
@@ -32,14 +37,15 @@ TEST(Simulator, AfterSchedulesRelative) {
 
 TEST(Simulator, EventsCanScheduleMoreEvents) {
   Simulator simulator;
+  ClosureHandler h;
   int count = 0;
   std::function<void()> chain = [&] {
     ++count;
     if (count < 10) {
-      simulator.after(1.0, chain);
+      h.after(simulator, 1.0, chain);
     }
   };
-  simulator.after(1.0, chain);
+  h.after(simulator, 1.0, chain);
   simulator.run();
   EXPECT_EQ(count, 10);
   EXPECT_EQ(simulator.now(), 10.0);
@@ -48,9 +54,10 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
 
 TEST(Simulator, RunUntilStopsAtLimit) {
   Simulator simulator;
+  ClosureHandler h;
   std::vector<double> fired;
   for (double t = 1.0; t <= 10.0; t += 1.0) {
-    simulator.at(t, [&, t] { fired.push_back(t); });
+    h.at(simulator, t, [&, t] { fired.push_back(t); });
   }
   simulator.run_until(4.0);
   EXPECT_EQ(fired.size(), 4u);  // events at exactly the limit still fire
@@ -61,8 +68,9 @@ TEST(Simulator, RunUntilStopsAtLimit) {
 
 TEST(Simulator, CancelWorksThroughFacade) {
   Simulator simulator;
+  ClosureHandler h;
   bool fired = false;
-  const auto id = simulator.at(1.0, [&] { fired = true; });
+  const auto id = h.at(simulator, 1.0, [&] { fired = true; });
   EXPECT_TRUE(simulator.cancel(id));
   simulator.run();
   EXPECT_FALSE(fired);
@@ -70,17 +78,19 @@ TEST(Simulator, CancelWorksThroughFacade) {
 
 TEST(Simulator, RejectsPastScheduling) {
   Simulator simulator;
-  simulator.at(5.0, [] {});
+  ClosureHandler h;
+  h.at(simulator, 5.0, [] {});
   simulator.run();
-  EXPECT_THROW(simulator.at(4.0, [] {}), PreconditionError);
-  EXPECT_THROW(simulator.after(-1.0, [] {}), PreconditionError);
+  EXPECT_THROW(h.at(simulator, 4.0, [] {}), PreconditionError);
+  EXPECT_THROW(h.after(simulator, -1.0, [] {}), PreconditionError);
 }
 
 TEST(Simulator, ZeroDelayFiresAtCurrentTime) {
   Simulator simulator;
+  ClosureHandler h;
   double fired_at = -1.0;
-  simulator.at(3.0, [&] {
-    simulator.after(0.0, [&] { fired_at = simulator.now(); });
+  h.at(simulator, 3.0, [&] {
+    h.after(simulator, 0.0, [&] { fired_at = simulator.now(); });
   });
   simulator.run();
   EXPECT_EQ(fired_at, 3.0);
