@@ -61,10 +61,7 @@ ControllerCore::ControllerCore(ControllerConfig config)
   }
 }
 
-void ControllerCore::start(std::uint64_t now_ms) {
-  started_ms_ = now_ms;
-  last_alive_ms_ = now_ms;
-}
+void ControllerCore::start(std::uint64_t now_ms) { last_alive_ms_ = now_ms; }
 
 Actions ControllerCore::on_connect(ConnId conn, std::uint64_t) {
   conns_[conn] = 0;  // unwelcomed until a valid hello arrives
@@ -161,38 +158,14 @@ Actions ControllerCore::handle_hello(ConnId conn, const Frame& frame,
   return actions;
 }
 
-Actions ControllerCore::handle_request(WorkerState& worker,
-                                       const Frame& frame) {
-  Actions actions;
-  const ConnId conn = worker.conn;
-  // Revoke-on-request: a worker asking for work while its own lease still
-  // has unfinished cells has provably lost those results (a dropped frame,
-  // a restart) — it would not ask otherwise. Return them to pending
-  // deterministically instead of waiting for any timeout.
-  if (!worker.outstanding.empty()) {
-    reassign(worker, "request-with-outstanding-lease");
-  }
-  if (pending_.empty()) {
-    Frame reply;
-    if (done()) {
-      reply.type = FrameType::kDone;
-    } else {
-      // Unfinished cells are leased to other workers; tell this one to
-      // come back shortly (it may inherit them if an expiry returns them).
-      reply.type = FrameType::kWait;
-      reply.value = config_.wait_hint_ms;
-    }
-    actions.send.emplace_back(conn, encode_frame(reply));
-    return actions;
-  }
-  const std::uint64_t want =
-      std::clamp<std::uint64_t>(frame.value, 1, config_.max_lease_cells);
-  const std::size_t count =
-      std::min<std::size_t>(static_cast<std::size_t>(want), pending_.size());
+void ControllerCore::grant(WorkerState& worker, Actions& actions) {
+  const std::size_t count = std::min<std::size_t>(
+      static_cast<std::size_t>(worker.parked_want), pending_.size());
   std::vector<std::size_t> cells(pending_.begin(),
                                  pending_.begin() + count);
   pending_.erase(pending_.begin(), pending_.begin() + count);
   std::sort(cells.begin(), cells.end());
+  worker.parked_want = 0;
   worker.lease_id = next_lease_++;
   worker.outstanding = cells;
   stats_.leases_granted += 1;
@@ -201,7 +174,50 @@ Actions ControllerCore::handle_request(WorkerState& worker,
   lease.type = FrameType::kLease;
   lease.lease = worker.lease_id;
   lease.cells.assign(cells.begin(), cells.end());
-  actions.send.emplace_back(conn, encode_frame(lease));
+  actions.send.emplace_back(worker.conn, encode_frame(lease));
+}
+
+void ControllerCore::serve_parked(Actions& actions) {
+  if (pending_.empty() && !done()) {
+    return;  // nothing to give anyone yet
+  }
+  for (auto& [id, worker] : workers_) {
+    if (worker.parked_want == 0) {
+      continue;
+    }
+    if (done()) {
+      Frame reply;
+      reply.type = FrameType::kDone;
+      actions.send.emplace_back(worker.conn, encode_frame(reply));
+      worker.parked_want = 0;
+    } else if (!pending_.empty()) {
+      grant(worker, actions);
+    }
+  }
+}
+
+Actions ControllerCore::handle_request(WorkerState& worker,
+                                       const Frame& frame,
+                                       std::uint64_t now) {
+  Actions actions;
+  // Revoke-on-request: a worker asking for work while its own lease still
+  // has unfinished cells has provably lost those results (a dropped frame,
+  // a restart) — it would not ask otherwise. Return them to pending
+  // deterministically instead of waiting for any timeout; workers parked
+  // before this one take them first.
+  if (!worker.outstanding.empty()) {
+    reassign(worker, "request-with-outstanding-lease");
+    serve_parked(actions);
+  }
+  // Park the request, then answer it if anything can be given now. A
+  // duplicated request while parked keeps the first one's clock and still
+  // gets exactly one reply.
+  if (worker.parked_want == 0) {
+    worker.parked_ms = now;
+  }
+  worker.parked_want =
+      std::clamp<std::uint64_t>(frame.value, 1, config_.max_lease_cells);
+  serve_parked(actions);
   return actions;
 }
 
@@ -254,6 +270,15 @@ Actions ControllerCore::handle_result(WorkerState& worker,
 
 Actions ControllerCore::on_line(ConnId conn, const std::string& line,
                                 std::uint64_t now_ms) {
+  Actions actions = dispatch(conn, line, now_ms);
+  // A result that completes the sweep, or a bye or protocol error that
+  // returns cells, answers parked requests in this same batch.
+  serve_parked(actions);
+  return actions;
+}
+
+Actions ControllerCore::dispatch(ConnId conn, const std::string& line,
+                                 std::uint64_t now_ms) {
   const auto conn_it = conns_.find(conn);
   if (conn_it == conns_.end()) {
     return {};  // already closed by an earlier action
@@ -277,7 +302,7 @@ Actions ControllerCore::on_line(ConnId conn, const std::string& line,
   worker.last_seen_ms = now_ms;
   switch (frame->type) {
     case FrameType::kRequest:
-      return handle_request(worker, *frame);
+      return handle_request(worker, *frame, now_ms);
     case FrameType::kResult:
       return handle_result(worker, *frame, now_ms);
     case FrameType::kHeartbeat:
@@ -310,7 +335,9 @@ Actions ControllerCore::on_disconnect(ConnId conn, std::uint64_t) {
     drop_worker(worker_id, "disconnect");
   }
   conns_.erase(conn);
-  return {};
+  Actions actions;
+  serve_parked(actions);
+  return actions;
 }
 
 Actions ControllerCore::on_tick(std::uint64_t now_ms) {
@@ -352,6 +379,19 @@ Actions ControllerCore::on_tick(std::uint64_t now_ms) {
       }
     }
   }
+  serve_parked(actions);
+  // Bound the hold: a request parked for a heartbeat interval with nothing
+  // to give is answered `wait`, and the worker asks again at once.
+  for (auto& [id, worker] : workers_) {
+    if (worker.parked_want != 0 &&
+        now_ms - worker.parked_ms >= config_.heartbeat_ms) {
+      Frame wait;
+      wait.type = FrameType::kWait;
+      wait.value = now_ms - worker.parked_ms;
+      actions.send.emplace_back(worker.conn, encode_frame(wait));
+      worker.parked_want = 0;
+    }
+  }
   if (!workers_.empty()) {
     last_alive_ms_ = now_ms;
   } else if (!done() &&
@@ -375,17 +415,21 @@ ControllerRunResult run_controller(
   std::map<ConnId, std::unique_ptr<Stream>> streams;
   ConnId next_conn = 1;
 
-  const auto apply = [&](const Actions& actions) {
-    for (const auto& [conn, line] : actions.send) {
+  const auto apply = [&](Actions actions) {
+    for (std::size_t i = 0; i < actions.send.size(); ++i) {
+      const ConnId conn = actions.send[i].first;
       const auto it = streams.find(conn);
       if (it == streams.end()) {
         continue;
       }
-      if (!it->second->send_line(line)) {
-        // Peer vanished mid-send; on_disconnect reassigns and emits no
-        // further sends or closes.
+      if (!it->second->send_line(actions.send[i].second)) {
+        // Peer vanished mid-send. on_disconnect reassigns its cells, and
+        // the leases it hands parked workers join this batch.
         streams.erase(it);
-        core.on_disconnect(conn, steady_now_ms());
+        Actions more = core.on_disconnect(conn, steady_now_ms());
+        for (auto& frame : more.send) {
+          actions.send.push_back(std::move(frame));
+        }
       }
     }
     for (const ConnId conn : actions.close) {
@@ -393,8 +437,10 @@ ControllerRunResult run_controller(
     }
   };
 
-  const std::uint64_t drain_grace_ms =
-      std::max<std::uint64_t>(1000, 4 * config.wait_hint_ms);
+  // After the last result, a worker whose request went missing asks again
+  // one reply timeout later and gets `done`; wait for two of those.
+  const std::uint64_t drain_grace_ms = std::max<std::uint64_t>(
+      1000, 2 * reply_timeout_ms(config.heartbeat_ms));
   std::uint64_t done_since_ms = 0;
   while (true) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {

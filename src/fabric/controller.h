@@ -17,6 +17,15 @@
 //    cells has provably lost those results (it would not ask otherwise —
 //    e.g. a dropped result frame); they return to pending immediately, no
 //    timeout needed.
+//  - Long-poll tail: a request that finds no pending cell is parked, not
+//    refused. It is answered in the same Actions batch as the event that
+//    makes an answer possible — `done` to every parked worker when a result
+//    completes the sweep, a lease when cells return to pending (revoke,
+//    bye, disconnect, heartbeat or progress deadline). A request parked for
+//    heartbeat_ms with nothing to give gets `wait`, and the worker asks
+//    again at once; the hold stays below the worker's reply timeout
+//    (max(4 * heartbeat_ms, 500) ms), so a parked worker never mistakes it
+//    for a lost reply.
 //  - Results are idempotent: per-cell seed streams make re-execution
 //    bit-identical, so a duplicate delivery must match the stored entry
 //    byte for byte (counted, dropped). A byte-different duplicate can only
@@ -52,7 +61,6 @@ struct ControllerConfig {
   std::uint64_t progress_timeout_ms = 0;
   /// Fail the sweep when no live worker has been around for this long.
   std::uint64_t worker_timeout_ms = 30000;
-  std::uint64_t wait_hint_ms = 200;  ///< retry hint when nothing is free
 };
 
 /// Connection handle as seen by the core; the driver picks the values.
@@ -91,7 +99,8 @@ class ControllerCore {
   Actions on_disconnect(ConnId conn, std::uint64_t now_ms);
 
   /// Periodic maintenance: expires silent workers, revokes stalled leases,
-  /// trips the no-worker timeout. Call every few tens of ms.
+  /// answers requests parked for heartbeat_ms with `wait`, trips the
+  /// no-worker timeout. Call every few tens of ms.
   Actions on_tick(std::uint64_t now_ms);
 
   /// Every todo cell has a recorded result.
@@ -121,19 +130,24 @@ class ControllerCore {
     std::uint64_t last_progress_ms = 0;
     std::uint64_t lease_id = 0;               ///< 0 = no outstanding lease
     std::vector<std::size_t> outstanding;     ///< leased, not yet finished
+    std::uint64_t parked_want = 0;  ///< cells a parked request wants; 0 = none
+    std::uint64_t parked_ms = 0;    ///< when the parked request arrived
   };
 
   Actions fail(const std::string& message);
   void reassign(WorkerState& worker, const char* why);
   void drop_worker(std::uint64_t worker_id, const char* why);
   Actions handle_hello(ConnId conn, const Frame& frame, std::uint64_t now);
-  Actions handle_request(WorkerState& worker, const Frame& frame);
+  Actions handle_request(WorkerState& worker, const Frame& frame,
+                         std::uint64_t now);
+  Actions dispatch(ConnId conn, const std::string& line, std::uint64_t now);
+  void grant(WorkerState& worker, Actions& actions);
+  void serve_parked(Actions& actions);
   Actions handle_result(WorkerState& worker, const Frame& frame,
                         std::uint64_t now);
   Actions protocol_error(ConnId conn, std::uint64_t now);
 
   ControllerConfig config_;
-  std::uint64_t started_ms_ = 0;
   std::uint64_t last_alive_ms_ = 0;  ///< last instant with >= 1 live worker
   std::vector<std::size_t> pending_;  ///< unleased todo cells, FIFO
   std::map<std::size_t, std::string> finished_lines_;  ///< entry bytes

@@ -7,12 +7,12 @@
 // same checksum the checkpoint journal uses, so a torn or corrupted frame is
 // detected exactly like a torn journal line.
 //
-//   hello v=1 fp=<fingerprint> name=<worker-name>
+//   hello v=2 fp=<fingerprint> name=<worker-name>
 //   welcome worker=<id> hb_ms=<interval>
 //   reject reason=<token>
 //   request worker=<id> want=<cells>
 //   lease id=<id> cells=<c1>,<c2>,...          (strictly increasing)
-//   wait ms=<hint>
+//   wait ms=<held>
 //   done
 //   result worker=<id> lease=<id> entry=<journal entry line>
 //   heartbeat worker=<id> done=<cells-completed>
@@ -23,6 +23,11 @@
 // journal unchanged, so a cell computed remotely is byte-identical to one
 // computed in-process — which is what makes duplicate delivery (a retry, a
 // reassigned lease finishing twice) detectable by plain byte comparison.
+//
+// A request that finds no free cell is held at the controller (long poll)
+// until a lease or `done` can answer it. `wait` ends a hold that lasted a
+// heartbeat interval with nothing to give: it means "request again now",
+// and its value only reports how long the request was held.
 //
 // Decoding is strict: a line decodes only when re-encoding the parsed frame
 // reproduces it byte for byte. Anything else — bad checksum, unknown type,
@@ -38,8 +43,17 @@
 namespace chronos::fabric {
 
 /// Protocol version spoken by this binary; hello frames carrying any other
-/// version are rejected.
-inline constexpr std::uint64_t kProtocolVersion = 1;
+/// version are rejected. Version 2 made `wait` mean "request again now": a
+/// version-1 worker would sleep on it, and a version-2 worker would spin on
+/// a version-1 controller's immediate waits.
+inline constexpr std::uint64_t kProtocolVersion = 2;
+
+/// How long a worker waits for the reply to a request before taking it for
+/// lost and asking again. The controller holds a parked request for at most
+/// one heartbeat interval, which is always shorter.
+inline constexpr std::uint64_t reply_timeout_ms(std::uint64_t heartbeat_ms) {
+  return heartbeat_ms * 4 > 500 ? heartbeat_ms * 4 : 500;
+}
 
 /// Upper bound on one encoded frame (and thus one received line). A peer
 /// that streams more than this without a newline is treated as broken.
@@ -51,7 +65,7 @@ enum class FrameType {
   kReject,     ///< controller -> worker: join refused (then close)
   kRequest,    ///< worker -> controller: ask for up to `want` cells
   kLease,      ///< controller -> worker: cells to compute under a lease id
-  kWait,       ///< controller -> worker: nothing free; retry in ~ms
+  kWait,       ///< controller -> worker: nothing freed up; request again now
   kDone,       ///< controller -> worker: sweep complete, disconnect
   kResult,     ///< worker -> controller: one finished cell (journal entry)
   kHeartbeat,  ///< worker -> controller: liveness + progress count
@@ -64,7 +78,8 @@ struct Frame {
   std::uint64_t worker = 0;  ///< welcome/request/result/heartbeat/bye
   std::uint64_t lease = 0;   ///< lease/result: lease id
   /// hello: protocol version; welcome: heartbeat interval ms; request:
-  /// cells wanted; wait: retry hint ms; heartbeat: cells completed so far.
+  /// cells wanted; wait: ms the request was held (informational);
+  /// heartbeat: cells completed so far.
   std::uint64_t value = 0;
   std::string fingerprint;          ///< hello: spec fingerprint
   std::string name;                 ///< hello: worker display name

@@ -271,6 +271,19 @@ std::unique_ptr<Stream> Listener::accept(int timeout_ms) {
   return std::make_unique<Stream>(fd);
 }
 
+bool cancellable_sleep(std::uint64_t ms, const std::atomic<bool>* cancel) {
+  for (std::uint64_t slept = 0;; slept += 10) {
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      return false;
+    }
+    if (slept >= ms) {
+      return true;
+    }
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min<std::uint64_t>(10, ms - slept)));
+  }
+}
+
 std::unique_ptr<Stream> connect_endpoint(const Endpoint& endpoint) {
   int fd = -1;
   if (endpoint.tcp) {
@@ -297,22 +310,14 @@ std::unique_ptr<Stream> connect_with_retry(const Endpoint& endpoint,
                                            const std::atomic<bool>* cancel) {
   CHRONOS_EXPECTS(attempts >= 1, "connect_with_retry wants attempts >= 1");
   CHRONOS_EXPECTS(backoff_ms >= 1, "connect_with_retry wants backoff >= 1");
-  int sleep_ms = backoff_ms;
+  int sleep_ms = 0;  // no wait before the first attempt
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return nullptr;
-    }
     if (attempt > 0) {
       c_connect_retries.add();
-      // Sleep in small slices so a cancel interrupts the backoff quickly.
-      for (int slept = 0; slept < sleep_ms; slept += 10) {
-        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-          return nullptr;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::min(10, sleep_ms - slept)));
-      }
-      sleep_ms = std::min(sleep_ms * 2, 2000);
+      sleep_ms = attempt == 1 ? backoff_ms : std::min(sleep_ms * 2, 2000);
+    }
+    if (!cancellable_sleep(static_cast<std::uint64_t>(sleep_ms), cancel)) {
+      return nullptr;
     }
     auto stream = connect_endpoint(endpoint);
     if (stream != nullptr) {

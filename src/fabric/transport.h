@@ -103,6 +103,11 @@ class Listener {
   bool unlink_on_close_ = false;
 };
 
+/// Sleeps `ms`, returning false early when `cancel` (when non-null) is
+/// raised. It polls the flag every 10 ms rather than waiting on a condition
+/// variable because a signal handler can only set an atomic.
+bool cancellable_sleep(std::uint64_t ms, const std::atomic<bool>* cancel);
+
 /// One connection attempt; nullptr on failure.
 std::unique_ptr<Stream> connect_endpoint(const Endpoint& endpoint);
 

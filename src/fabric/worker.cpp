@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "fabric/protocol.h"
 #include "fabric/transport.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace chronos::fabric {
 
@@ -18,21 +20,6 @@ namespace {
 
 const obs::Counter c_worker_cells = obs::counter("fabric.worker.cells");
 const obs::Counter c_worker_leases = obs::counter("fabric.worker.leases");
-
-/// Sleeps `ms` in small slices, returning early (false) when `cancel` or
-/// `stop` is raised.
-bool interruptible_sleep(std::uint64_t ms, const std::atomic<bool>* cancel,
-                         const std::atomic<bool>* stop) {
-  for (std::uint64_t slept = 0; slept < ms; slept += 10) {
-    if ((cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
-        (stop != nullptr && stop->load(std::memory_order_relaxed))) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        std::min<std::uint64_t>(10, ms - slept)));
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -60,6 +47,9 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
                   "worker needs a spec fingerprint");
   CHRONOS_EXPECTS(options.want >= 1, "worker must want at least one cell");
   const Endpoint endpoint = parse_endpoint(options.address);
+  // Connect and handshake; returns on the way end the span too.
+  std::optional<obs::TraceSpan> connect_span;
+  connect_span.emplace("fabric.connect", "fabric");
   const std::unique_ptr<Stream> stream =
       connect_with_retry(endpoint, options.connect_attempts,
                          options.connect_backoff_ms, options.cancel);
@@ -120,83 +110,112 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
       return WorkerOutcome::kLost;
     }
   }
+  connect_span.reset();
 
   // --- heartbeat thread ---------------------------------------------------
   // Sends at half the controller's advertised interval so one lost or
   // delayed beat never trips the deadline. The hang fault silences it too:
-  // a wedged process stops doing everything.
-  std::atomic<bool> stop_heartbeats{false};
+  // a wedged process stops doing everything. It waits on a condition
+  // variable, so finish() wakes it at once instead of after a sleep.
+  std::mutex stop_mu;
+  std::condition_variable stop_cv;
+  bool stop_heartbeats = false;  // guarded by stop_mu
   std::atomic<bool> hang{false};
   std::atomic<std::uint64_t> cells_completed{0};
   std::thread heartbeat_thread([&] {
-    while (!stop_heartbeats.load(std::memory_order_relaxed)) {
-      if (!interruptible_sleep(std::max<std::uint64_t>(heartbeat_ms / 2, 5),
-                               nullptr, &stop_heartbeats)) {
-        return;
-      }
+    const std::chrono::milliseconds interval(
+        std::max<std::uint64_t>(heartbeat_ms / 2, 5));
+    std::unique_lock<std::mutex> lock(stop_mu);
+    while (!stop_cv.wait_for(lock, interval, [&] { return stop_heartbeats; })) {
       if (hang.load(std::memory_order_relaxed)) {
         continue;
       }
+      lock.unlock();
       Frame beat;
       beat.type = FrameType::kHeartbeat;
       beat.worker = worker_id;
       beat.value = cells_completed.load(std::memory_order_relaxed);
       const std::string line = encode_frame(beat);
-      std::lock_guard<std::mutex> lock(send_mu);
-      out.send_heartbeat(line);
+      {
+        std::lock_guard<std::mutex> send_lock(send_mu);
+        out.send_heartbeat(line);
+      }
+      lock.lock();
     }
   });
+  // A planned crash closes the socket the heartbeat thread sends on, so it
+  // takes send_mu too.
+  const auto crash = [&] {
+    std::lock_guard<std::mutex> lock(send_mu);
+    stream->close();
+  };
   // finish() joins the heartbeat thread, which blocks on send_mu to emit a
   // beat — so it must NEVER run with send_mu held, or a beat fired at just
   // the wrong instant deadlocks the join. Every send below scopes its
-  // lock_guard tightly and calls finish() only after releasing it.
+  // lock_guard tightly and calls finish() only after releasing it. A worker
+  // that ends done or cancelled says bye first.
   const auto finish = [&](WorkerOutcome outcome) {
-    stop_heartbeats.store(true, std::memory_order_relaxed);
+    obs::TraceSpan span("fabric.shutdown", "fabric");
+    if (outcome == WorkerOutcome::kDone ||
+        outcome == WorkerOutcome::kCancelled) {
+      Frame bye;
+      bye.type = FrameType::kBye;
+      bye.worker = worker_id;
+      const std::string line = encode_frame(bye);
+      std::lock_guard<std::mutex> lock(send_mu);
+      out.send_frame(line);
+    }
+    {
+      std::lock_guard<std::mutex> lock(stop_mu);
+      stop_heartbeats = true;
+    }
+    stop_cv.notify_one();
     heartbeat_thread.join();
     return outcome;
   };
 
   // --- lease loop ---------------------------------------------------------
+  const int reply_timeout =
+      static_cast<int>(reply_timeout_ms(heartbeat_ms));
   std::uint64_t results_sent = 0;
   int consecutive_timeouts = 0;
   while (true) {
     if (options.cancel != nullptr &&
         options.cancel->load(std::memory_order_relaxed)) {
-      Frame bye;
-      bye.type = FrameType::kBye;
-      bye.worker = worker_id;
-      {
-        std::lock_guard<std::mutex> lock(send_mu);
-        out.send_frame(encode_frame(bye));
-      }
       return finish(WorkerOutcome::kCancelled);
     }
+    // Request -> reply. The controller holds a request it cannot answer
+    // yet (long poll), for at most one heartbeat interval.
+    FaultStream::Send sent;
+    Stream::Recv status = Stream::Recv::kTimeout;
+    std::string line;
     {
+      obs::TraceSpan span("fabric.lease_wait", "fabric");
       Frame request;
       request.type = FrameType::kRequest;
       request.worker = worker_id;
       request.value = options.want;
-      const std::string line = encode_frame(request);
-      FaultStream::Send sent;
+      const std::string request_line = encode_frame(request);
       {
         std::lock_guard<std::mutex> lock(send_mu);
-        sent = out.send_frame(line);
+        sent = out.send_frame(request_line);
       }
-      switch (sent) {
-        case FaultStream::Send::kTorn:
-          stream->close();
-          return finish(WorkerOutcome::kFaultStop);
-        case FaultStream::Send::kError:
-          return finish(WorkerOutcome::kLost);
-        case FaultStream::Send::kDropped:
-        case FaultStream::Send::kSent:
-          break;  // a dropped request surfaces as a recv timeout below
+      if (sent == FaultStream::Send::kSent ||
+          sent == FaultStream::Send::kDropped) {
+        // A dropped request surfaces as a recv timeout.
+        status = stream->recv_line(line, reply_timeout);
       }
     }
-    std::string line;
-    const Stream::Recv status = stream->recv_line(
-        line, static_cast<int>(std::max<std::uint64_t>(heartbeat_ms * 4,
-                                                       500)));
+    switch (sent) {
+      case FaultStream::Send::kTorn:
+        crash();
+        return finish(WorkerOutcome::kFaultStop);
+      case FaultStream::Send::kError:
+        return finish(WorkerOutcome::kLost);
+      case FaultStream::Send::kDropped:
+      case FaultStream::Send::kSent:
+        break;
+    }
     if (status == Stream::Recv::kTimeout) {
       // Lost request or lost reply; ask again. The controller's
       // revoke-on-request makes the retry idempotent.
@@ -214,18 +233,9 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
       return finish(WorkerOutcome::kLost);
     }
     if (reply->type == FrameType::kWait) {
-      interruptible_sleep(std::min<std::uint64_t>(reply->value, 1000),
-                          options.cancel, nullptr);
-      continue;
+      continue;  // the hold ran out with nothing to give: ask again now
     }
     if (reply->type == FrameType::kDone) {
-      Frame bye;
-      bye.type = FrameType::kBye;
-      bye.worker = worker_id;
-      {
-        std::lock_guard<std::mutex> lock(send_mu);
-        out.send_frame(encode_frame(bye));
-      }
       return finish(WorkerOutcome::kDone);
     }
     if (reply->type != FrameType::kLease) {
@@ -234,8 +244,11 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
 
     c_worker_leases.add();
     for (const std::uint64_t cell : reply->cells) {
-      const exp::CellAggregate aggregate =
-          exp::run_single_cell(spec, hooks, static_cast<std::size_t>(cell));
+      const exp::CellAggregate aggregate = [&] {
+        obs::TraceSpan span("fabric.cell", "fabric");
+        return exp::run_single_cell(spec, hooks,
+                                    static_cast<std::size_t>(cell));
+      }();
       c_worker_cells.add();
       exp::JournalEntry entry;
       entry.cell = static_cast<std::size_t>(cell);
@@ -246,8 +259,7 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
       result.lease = reply->lease;
       result.entry = exp::encode_journal_entry(entry);
       if (options.fault.delay_cell_ms > 0) {
-        interruptible_sleep(options.fault.delay_cell_ms, options.cancel,
-                            nullptr);
+        cancellable_sleep(options.fault.delay_cell_ms, options.cancel);
       }
       if (options.fault.hang_after_cells > 0 &&
           results_sent >= options.fault.hang_after_cells) {
@@ -259,23 +271,22 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
         }
         return finish(WorkerOutcome::kFaultStop);
       }
+      FaultStream::Send result_sent;
       {
+        obs::TraceSpan span("fabric.result_send", "fabric");
         const std::string result_line = encode_frame(result);
-        FaultStream::Send sent;
-        {
-          std::lock_guard<std::mutex> lock(send_mu);
-          sent = out.send_frame(result_line);
-        }
-        switch (sent) {
-          case FaultStream::Send::kTorn:
-            stream->close();
-            return finish(WorkerOutcome::kFaultStop);
-          case FaultStream::Send::kError:
-            return finish(WorkerOutcome::kLost);
-          case FaultStream::Send::kDropped:
-          case FaultStream::Send::kSent:
-            break;
-        }
+        std::lock_guard<std::mutex> lock(send_mu);
+        result_sent = out.send_frame(result_line);
+      }
+      switch (result_sent) {
+        case FaultStream::Send::kTorn:
+          crash();
+          return finish(WorkerOutcome::kFaultStop);
+        case FaultStream::Send::kError:
+          return finish(WorkerOutcome::kLost);
+        case FaultStream::Send::kDropped:
+        case FaultStream::Send::kSent:
+          break;
       }
       results_sent += 1;
       cells_completed.fetch_add(1, std::memory_order_relaxed);
@@ -283,7 +294,7 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
           results_sent >= options.fault.kill_after_cells) {
         // Crash: abrupt close, no bye — exactly what kill -9 looks like
         // from the controller's side.
-        stream->close();
+        crash();
         return finish(WorkerOutcome::kFaultStop);
       }
     }

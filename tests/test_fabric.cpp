@@ -381,7 +381,6 @@ ControllerConfig core_config() {
   config.heartbeat_ms = 100;
   config.lease_timeout_ms = 1000;
   config.worker_timeout_ms = 5000;
-  config.wait_hint_ms = 50;
   return config;
 }
 
@@ -451,6 +450,14 @@ TEST(ControllerCore, RejectsWrongFingerprintAndVersion) {
   reject = sent_frame(actions);
   EXPECT_EQ(reject.type, FrameType::kReject);
   EXPECT_EQ(reject.reason, "version-mismatch");
+
+  // A version-1 worker would sleep on `wait` instead of asking again.
+  core.on_connect(3, 0);
+  actions = core.on_line(3, hello_line("feedface", 1), 0);
+  reject = sent_frame(actions);
+  EXPECT_EQ(reject.type, FrameType::kReject);
+  EXPECT_EQ(reject.reason, "version-mismatch");
+  EXPECT_EQ(actions.close, std::vector<ConnId>{3});
   EXPECT_EQ(core.live_workers(), 0u);
   EXPECT_EQ(core.stats().workers_joined, 0u);
 }
@@ -561,27 +568,148 @@ TEST(ControllerCore, ByteDifferentResultForFinishedCellFailsLoudly) {
   EXPECT_EQ(core.live_workers(), 0u);
 }
 
-TEST(ControllerCore, WaitsWhenAllCellsAreLeasedThenFinishes) {
-  ControllerConfig config = core_config();
-  config.max_lease_cells = 6;
-  ControllerCore core(config);
-  core.start(0);
-  const std::uint64_t w1 = join_worker(core, 1, 0);
-  const Frame lease = sent_frame(core.on_line(1, request_line(w1, 6), 0));
-  ASSERT_EQ(lease.cells.size(), 6u);
+/// Core whose first worker (conn 1) holds all six cells in one lease and
+/// whose second (conn 2) has a request parked at t=10.
+struct ParkedCore {
+  ControllerCore core{[] {
+    ControllerConfig config = core_config();
+    config.max_lease_cells = 6;
+    return config;
+  }()};
+  std::uint64_t w1 = 0;
+  std::uint64_t w2 = 0;
+  Frame lease;
 
-  // Everything is leased out: a second worker is told to come back.
-  const std::uint64_t w2 = join_worker(core, 2, 10);
-  const Frame wait = sent_frame(core.on_line(2, request_line(w2), 10));
-  EXPECT_EQ(wait.type, FrameType::kWait);
-  EXPECT_EQ(wait.value, config.wait_hint_ms);
-
-  for (const std::uint64_t cell : lease.cells) {
-    core.on_line(1, result_line(w1, lease.lease, cell), 20);
+  ParkedCore() {
+    core.start(0);
+    w1 = join_worker(core, 1, 0);
+    lease = sent_frame(core.on_line(1, request_line(w1, 6), 0));
+    w2 = join_worker(core, 2, 10);
+    // Everything is leased out: the request is held, not answered.
+    EXPECT_TRUE(core.on_line(2, request_line(w2), 10).send.empty());
   }
-  EXPECT_TRUE(core.done());
-  const Frame done = sent_frame(core.on_line(2, request_line(w2), 30));
-  EXPECT_EQ(done.type, FrameType::kDone);
+};
+
+TEST(ControllerCore, ParkedRequestGetsDoneWithTheLastResult) {
+  ParkedCore p;
+  ASSERT_EQ(p.lease.cells.size(), 6u);
+  for (std::size_t i = 0; i + 1 < p.lease.cells.size(); ++i) {
+    EXPECT_TRUE(
+        p.core.on_line(1, result_line(p.w1, p.lease.lease, p.lease.cells[i]),
+                       20)
+            .send.empty());
+  }
+  // The result that completes the sweep answers the parked request in the
+  // same batch.
+  const Actions last = p.core.on_line(
+      1, result_line(p.w1, p.lease.lease, p.lease.cells.back()), 20);
+  EXPECT_TRUE(p.core.done());
+  ASSERT_EQ(last.send.size(), 1u);
+  EXPECT_EQ(last.send[0].first, 2u);
+  EXPECT_EQ(sent_frame(last).type, FrameType::kDone);
+  // Answered once: no `wait` follows later.
+  EXPECT_TRUE(p.core.on_tick(1000).send.empty());
+}
+
+TEST(ControllerCore, ParkedRequestGetsALeaseWhenARevokeReturnsCells) {
+  ParkedCore p;
+  p.core.on_line(1, result_line(p.w1, p.lease.lease, 0), 20);
+  // w1 asks again with cells 1..5 unfinished: revoke-on-request returns
+  // them, and the parked w2 takes the first ones in the same batch before
+  // w1 gets the rest.
+  const Actions actions = p.core.on_line(1, request_line(p.w1, 2), 30);
+  ASSERT_EQ(actions.send.size(), 2u);
+  EXPECT_EQ(actions.send[0].first, 2u);
+  const Frame parked = sent_frame(actions, 0);
+  ASSERT_EQ(parked.type, FrameType::kLease);
+  EXPECT_EQ(parked.cells, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(actions.send[1].first, 1u);
+  EXPECT_EQ(sent_frame(actions, 1).cells,
+            (std::vector<std::uint64_t>{3, 4}));
+}
+
+TEST(ControllerCore, ParkedRequestGetsALeaseWhenAByeReturnsCells) {
+  ParkedCore p;
+  const Actions actions = p.core.on_line(1, bye_line(p.w1), 30);
+  EXPECT_EQ(actions.close, std::vector<ConnId>{1});
+  ASSERT_EQ(actions.send.size(), 1u);
+  EXPECT_EQ(actions.send[0].first, 2u);
+  const Frame lease = sent_frame(actions);
+  ASSERT_EQ(lease.type, FrameType::kLease);
+  EXPECT_EQ(lease.cells, (std::vector<std::uint64_t>{0, 1}));
+}
+
+TEST(ControllerCore, ParkedRequestGetsALeaseWhenADisconnectReturnsCells) {
+  ParkedCore p;
+  const Actions actions = p.core.on_disconnect(1, 30);
+  ASSERT_EQ(actions.send.size(), 1u);
+  EXPECT_EQ(actions.send[0].first, 2u);
+  const Frame lease = sent_frame(actions);
+  ASSERT_EQ(lease.type, FrameType::kLease);
+  EXPECT_EQ(lease.cells, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(p.core.stats().workers_lost, 1u);
+}
+
+TEST(ControllerCore, ParkedRequestGetsALeaseWhenAnExpiryReturnsCells) {
+  ParkedCore p;
+  p.core.on_line(2, heartbeat_line(p.w2), 900);
+  // w1 has been silent past the 1000 ms lease timeout: the tick that
+  // expires it hands its cells to the parked w2 instead of a `wait`.
+  const Actions actions = p.core.on_tick(1001);
+  EXPECT_EQ(actions.close, std::vector<ConnId>{1});
+  ASSERT_EQ(actions.send.size(), 1u);
+  EXPECT_EQ(actions.send[0].first, 2u);
+  const Frame lease = sent_frame(actions);
+  ASSERT_EQ(lease.type, FrameType::kLease);
+  EXPECT_EQ(lease.cells, (std::vector<std::uint64_t>{0, 1}));
+}
+
+TEST(ControllerCore, IdleParkedRequestGetsWaitAfterOneHeartbeat) {
+  ParkedCore p;
+  p.core.on_line(2, heartbeat_line(p.w2), 50);
+  // Parked at t=10 with heartbeat_ms = 100: held through t=109 ...
+  EXPECT_TRUE(p.core.on_tick(109).send.empty());
+  // ... and answered `wait` at t=110, exactly once.
+  const Actions actions = p.core.on_tick(110);
+  ASSERT_EQ(actions.send.size(), 1u);
+  EXPECT_EQ(actions.send[0].first, 2u);
+  const Frame wait = sent_frame(actions);
+  EXPECT_EQ(wait.type, FrameType::kWait);
+  EXPECT_EQ(wait.value, 100u);
+  EXPECT_TRUE(p.core.on_tick(500).send.empty());
+  // The worker asks again at once and is parked anew.
+  EXPECT_TRUE(p.core.on_line(2, request_line(p.w2), 111).send.empty());
+  EXPECT_TRUE(p.core.on_tick(210).send.empty());
+  EXPECT_EQ(sent_frame(p.core.on_tick(211)).type, FrameType::kWait);
+}
+
+TEST(ControllerCore, DuplicatedParkedRequestGetsOneReply) {
+  ParkedCore p;
+  // A dup-frame fault delivers the parked request twice.
+  EXPECT_TRUE(p.core.on_line(2, request_line(p.w2), 40).send.empty());
+  // The hold still runs from the first copy ...
+  const Actions wait = p.core.on_tick(110);
+  ASSERT_EQ(wait.send.size(), 1u);
+  EXPECT_EQ(sent_frame(wait).type, FrameType::kWait);
+  // ... and a later completion sends nothing more to w2.
+  for (const std::uint64_t cell : p.lease.cells) {
+    EXPECT_TRUE(
+        p.core.on_line(1, result_line(p.w1, p.lease.lease, cell), 120)
+            .send.empty());
+  }
+  EXPECT_TRUE(p.core.done());
+
+  // Twice parked, then released by a completion: one `done`, not two.
+  ParkedCore q;
+  q.core.on_line(2, request_line(q.w2), 40);
+  std::size_t replies = 0;
+  for (const std::uint64_t cell : q.lease.cells) {
+    replies +=
+        q.core.on_line(1, result_line(q.w1, q.lease.lease, cell), 50)
+            .send.size();
+  }
+  EXPECT_EQ(replies, 1u);
+  EXPECT_TRUE(q.core.on_tick(1000).send.empty());
 }
 
 TEST(ControllerCore, MidSweepJoinerSharesTheGrid) {
@@ -717,7 +845,6 @@ FabricRun run_fabric(const exp::SweepSpec& spec,
   config.heartbeat_ms = 50;
   config.lease_timeout_ms = lease_timeout_ms;
   config.worker_timeout_ms = 10000;
-  config.wait_hint_ms = 50;
 
   FabricRun run;
   run.outcomes.assign(faults.size(), WorkerOutcome::kLost);
