@@ -3,6 +3,9 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <deque>
+
+#include "common/rng.h"
 #include "mapreduce/scheduler.h"
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
@@ -64,6 +67,67 @@ void BM_EventQueueCancelHalf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueCancelHalf)->Arg(10000);
+
+void BM_EventQueueRollingCancel(benchmark::State& state) {
+  // The queue traffic of S-Resume's kill-and-relaunch cycle (e2ebench's
+  // open_sresume): a steady state of 200 pending events. Each step fires
+  // the earliest, schedules a near-term event (a grant or a timer) and, in
+  // 15 of 17 steps, a far-future finish, then cancels until 200 remain:
+  // mostly the oldest pending finish (a killed attempt), sometimes the
+  // newest near-term event. About 47% of scheduled events are cancelled,
+  // most of them long before they come due. Items are steps (one pop each).
+  constexpr std::size_t kLive = 200;
+  constexpr std::size_t kNearKept = 64;  // older near-term ids have fired
+  NoopHandler handler;
+  sim::EventQueue queue;
+  Rng rng(1);
+  std::deque<sim::EventId> finishes;  // oldest first
+  std::deque<sim::EventId> near;      // newest last
+  sim::Time now = 0.0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  const auto schedule_near = [&] {
+    near.push_back(
+        queue.schedule(now + rng.uniform(0.0, 1.0), handler, {}));
+    if (near.size() > kNearKept) {
+      near.pop_front();
+    }
+    ++scheduled;
+  };
+  const auto schedule_finish = [&] {
+    finishes.push_back(
+        queue.schedule(now + 2.0 + rng.uniform(0.0, 7.0), handler, {}));
+    ++scheduled;
+  };
+  for (std::size_t i = 0; i < kLive / 2; ++i) {
+    schedule_near();
+    schedule_finish();
+  }
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    now = queue.next_time();
+    fire_next(queue);
+    schedule_near();
+    if (step++ % 17 >= 2) {
+      schedule_finish();
+    }
+    while (queue.size() > kLive) {
+      sim::EventId id;
+      if (!finishes.empty() && (near.empty() || rng.uniform() >= 0.1)) {
+        id = finishes.front();
+        finishes.pop_front();
+      } else {
+        id = near.back();
+        near.pop_back();
+      }
+      cancelled += queue.cancel(id) ? 1 : 0;
+    }
+  }
+  state.counters["cancel_ratio"] =
+      static_cast<double>(cancelled) / static_cast<double>(scheduled);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRollingCancel);
 
 mapreduce::JobSpec bench_job(int tasks) {
   mapreduce::JobSpec spec;

@@ -2,18 +2,21 @@
 //
 // Events fire in (time, insertion-sequence) order so that simultaneous
 // events execute deterministically in scheduling order — a requirement for
-// reproducible trace-driven runs.
+// reproducible trace-driven runs. (time, seq) is a total order, so the pop
+// sequence does not depend on how the heap is laid out.
 //
 // Every event is a typed event: a POD payload addressed to an EventHandler.
 // Scheduling one never allocates, and the handler can recognize a stale
 // payload by itself (the scheduler's attempt and timer events do).
 //
-// Storage is a slot arena: events live in a generation-tagged vector with
-// an intrusive free-list, and heap entries carry their slot index plus the
-// generation observed at scheduling time. Cancel/fire bump the slot's
-// generation, so stale heap entries (and stale EventIds) are recognized by a
-// simple tag mismatch — no per-event hashing, and after warm-up no
-// allocation per schedule/cancel/pop (slots and heap storage are recycled).
+// Storage is a slot arena plus an indexed 4-ary min-heap. Events live in a
+// generation-tagged vector with an intrusive free-list; each heap entry names
+// its slot, and each slot records its entry's heap position. Cancel removes
+// the entry at once (the last entry fills the hole and sifts up or down), so
+// the heap holds exactly the pending events and pop never skips a dead one.
+// Cancel/fire bump the slot's generation, so a stale EventId is recognized by
+// a tag mismatch — no per-event hashing, and after warm-up no allocation per
+// schedule/cancel/pop (slots and heap storage are recycled).
 #pragma once
 
 #include <cstddef>
@@ -64,13 +67,13 @@ class EventQueue {
   /// was cancelled, or the id is invalid. Idempotent.
   bool cancel(EventId id);
 
-  /// True when no runnable (non-cancelled) events remain.
-  bool empty() const;
+  /// True when no pending events remain.
+  bool empty() const { return heap_.empty(); }
 
-  /// Time of the earliest runnable event. Requires !empty().
+  /// Time of the earliest pending event. Requires !empty().
   Time next_time() const;
 
-  /// Removes and returns the earliest runnable event. Requires !empty().
+  /// Removes and returns the earliest pending event. Requires !empty().
   /// The caller delivers it: `fired.handler->on_event(fired.event)`.
   struct Fired {
     Time time;
@@ -79,8 +82,8 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t size() const { return live_; }
+  /// Number of pending events.
+  std::size_t size() const { return heap_.size(); }
 
   /// Capacity hint: pre-sizes the heap and the slot arena for `n` pending
   /// events so bulk scheduling (e.g. a job submission that launches every
@@ -91,14 +94,13 @@ class EventQueue {
   struct Entry {
     Time time;
     std::uint64_t seq;
-    std::uint64_t generation;
     std::uint32_t slot;
-    // Min-heap on (time, seq) via greater-than comparison.
-    bool operator>(const Entry& other) const {
+    // Min-heap order: earlier time first, then earlier scheduling.
+    bool operator<(const Entry& other) const {
       if (time != other.time) {
-        return time > other.time;
+        return time < other.time;
       }
-      return seq > other.seq;
+      return seq < other.seq;
     }
   };
 
@@ -107,21 +109,25 @@ class EventQueue {
     TypedEvent event;
     std::uint64_t generation = 0;  ///< bumped whenever the slot is released
     std::uint32_t next_free = 0;   ///< free-list link (index + 1; 0 = end)
+    std::uint32_t heap_pos = 0;    ///< index of this slot's entry in heap_
   };
-
-  /// Pops heap entries whose slot generation no longer matches (cancelled,
-  /// or fired through a duplicate entry — the latter cannot happen here but
-  /// the check is what makes lazy deletion safe).
-  void drop_stale() const;
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
-  mutable std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap
+  /// Writes `entry` at heap position `pos` and records `pos` in its slot.
+  void place(std::size_t pos, const Entry& entry);
+  /// Moves `entry`, destined for the hole at `pos`, toward the root.
+  void sift_up(std::size_t pos, const Entry& entry);
+  /// Moves `entry`, destined for the hole at `pos`, toward the leaves.
+  void sift_down(std::size_t pos, const Entry& entry);
+  /// Removes the entry at `pos`; the last entry fills the hole.
+  void remove_at(std::size_t pos);
+
+  std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = 0;  ///< head of the free list (index + 1)
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace chronos::sim
